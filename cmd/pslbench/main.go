@@ -1,7 +1,7 @@
 // pslbench emits the repository's machine-readable performance
-// baseline: ns/op and allocs/op for all five matcher representations
-// over the standard 9k-rule ablation list, the packed compile and blob
-// costs, the serial-vs-parallel per-version sweep, and the batched
+// baseline: ns/op and allocs/op for the packed matcher and the linear
+// reference over the standard 9k-rule ablation list, the packed compile
+// and blob costs, the serial-vs-parallel per-version sweep, and the batched
 // lookup scaling matrix (GOMAXPROCS 1/2/4/8, /v1/batch vs single
 // lookups, in-process and over HTTP). Results are written as JSON
 // (default BENCH_matchers.json) so successive runs can be diffed to
@@ -250,7 +250,6 @@ type output struct {
 	NumCPU            int                      `json:"num_cpu"`
 	Rules             int                      `json:"rules"`
 	Matchers          map[string]matcherResult `json:"matchers"`
-	TrieOverPackedNs  float64                  `json:"trie_over_packed_ns_ratio"`
 	PackedCompileNsOp float64                  `json:"packed_compile_ns_per_op"`
 	PackedBlobBytes   int                      `json:"packed_blob_bytes"`
 	PackedTableBytes  int                      `json:"packed_table_bytes"`
@@ -342,17 +341,11 @@ func collect(cfg benchConfig) output {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Rules:      l.Len(),
-		Matchers:   make(map[string]matcherResult, 5),
+		Matchers:   make(map[string]matcherResult, 2),
 	}
-	out.Matchers["map"] = measure(psl.NewMapMatcher(l))
-	out.Matchers["trie"] = measure(psl.NewTrieMatcher(l))
-	out.Matchers["sorted"] = measure(psl.NewSortedMatcher(l))
 	out.Matchers["linear"] = measure(psl.NewLinearMatcher(l))
 	pm := psl.NewPackedMatcher(l)
 	out.Matchers["packed"] = measure(pm)
-	if p := out.Matchers["packed"].NsPerOp; p > 0 {
-		out.TrieOverPackedNs = out.Matchers["trie"].NsPerOp / p
-	}
 	compile := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			psl.NewPackedMatcher(l)

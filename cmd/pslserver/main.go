@@ -45,8 +45,6 @@
 //	-versions N       number of history versions to generate (default
 //	                  1142, the full simulated history)
 //	-max-in-flight N  admission bound for /v1/lookup (503 above it)
-//	-matcher NAME     matcher implementation for lookups:
-//	                  packed (default), map, trie, sorted or linear
 //	-follow URL       run as a replica of the origin pslserver at URL:
 //	                  no local history; the list arrives via /dist/
 //	-follow-from N    first version to bootstrap from (-1 = origin head)
@@ -56,7 +54,7 @@
 //	                  verified snapshot installs the origin-compiled
 //	                  PackedMatcher instead of recompiling locally;
 //	                  blob fetch failures silently fall back to a local
-//	                  compile (requires -matcher packed)
+//	                  compile
 //	-state-dir DIR    (follower) persist each verified snapshot to DIR
 //	                  and resume from it on restart, skipping the
 //	                  full-blob bootstrap
@@ -143,16 +141,6 @@ import (
 	"repro/internal/submit"
 )
 
-// matcherConstructors maps -matcher flag values to constructors. A nil
-// constructor selects serve's default (the packed compiled matcher).
-var matcherConstructors = map[string]func(*psl.List) psl.Matcher{
-	"packed": nil,
-	"map":    func(l *psl.List) psl.Matcher { return psl.NewMapMatcher(l) },
-	"trie":   func(l *psl.List) psl.Matcher { return psl.NewTrieMatcher(l) },
-	"sorted": func(l *psl.List) psl.Matcher { return psl.NewSortedMatcher(l) },
-	"linear": func(l *psl.List) psl.Matcher { return psl.NewLinearMatcher(l) },
-}
-
 // config is the fully validated flag set; parseFlags fails before any
 // listener is bound or history generated, so a bad invocation exits
 // without side effects.
@@ -164,7 +152,6 @@ type config struct {
 	seed        int64
 	versions    int
 	maxInFlight int
-	matcher     string
 	quiet       bool
 
 	follow     string
@@ -185,8 +172,6 @@ type config struct {
 	submitMaxFlip  float64
 
 	failpoints string
-
-	newMatcher func(*psl.List) psl.Matcher
 }
 
 // parseFlags parses and validates the command line. All validation
@@ -201,7 +186,6 @@ func parseFlags(args []string) (config, error) {
 	fs.Int64Var(&cfg.seed, "seed", history.DefaultSeed, "history generator seed")
 	fs.IntVar(&cfg.versions, "versions", 0, "history versions to generate (0 = full default history)")
 	fs.IntVar(&cfg.maxInFlight, "max-in-flight", serve.DefaultMaxInFlight, "admission bound for /v1/lookup")
-	fs.StringVar(&cfg.matcher, "matcher", "packed", "matcher implementation: packed, map, trie, sorted or linear")
 	fs.StringVar(&cfg.follow, "follow", "", "run as a replica of the origin pslserver at this base URL")
 	fs.IntVar(&cfg.followFrom, "follow-from", -1, "first version to bootstrap from (-1 = origin head)")
 	fs.DurationVar(&cfg.followPoll, "follow-poll", time.Second, "replica poll interval")
@@ -224,11 +208,6 @@ func parseFlags(args []string) (config, error) {
 	if fs.NArg() > 0 {
 		return config{}, fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	nm, ok := matcherConstructors[cfg.matcher]
-	if !ok {
-		return config{}, fmt.Errorf("unknown -matcher %q (want packed, map, trie, sorted or linear)", cfg.matcher)
-	}
-	cfg.newMatcher = nm
 	if cfg.failRate < 0 || cfg.failRate > 1 {
 		return config{}, fmt.Errorf("-failrate %v out of range [0, 1]", cfg.failRate)
 	}
@@ -258,9 +237,6 @@ func parseFlags(args []string) (config, error) {
 	}
 	if cfg.blob && cfg.follow == "" {
 		return config{}, fmt.Errorf("-blob requires -follow (origins compile their own matchers)")
-	}
-	if cfg.blob && cfg.matcher != "packed" {
-		return config{}, fmt.Errorf("-blob serves origin-compiled packed matchers; it conflicts with -matcher %q", cfg.matcher)
 	}
 	if cfg.relay && cfg.follow == "" {
 		return config{}, fmt.Errorf("-relay requires -follow (an origin already serves /dist/)")
@@ -370,11 +346,7 @@ func newHandler(h *history.History, seq int, cfg config, plane *obsPlane) (http.
 	fs.SetCurrent(seq)
 	fs.SetFailureRate(cfg.failRate)
 
-	svc := serve.NewFromHistory(h, seq, serve.Options{
-		MaxInFlight: cfg.maxInFlight,
-		NewMatcher:  cfg.newMatcher,
-		MatcherName: cfg.matcher,
-	})
+	svc := serve.NewFromHistory(h, seq, serve.Options{MaxInFlight: cfg.maxInFlight})
 	svc.SetHealthLimits(cfg.maxLag, cfg.maxSnapshotAge)
 	svc.SetJournal(plane.journal)
 
@@ -442,11 +414,7 @@ func newHandler(h *history.History, seq int, cfg config, plane *obsPlane) (http.
 // fingerprint of the bootstrap snapshot; m, when non-nil, is a
 // pre-built matcher (the blob-fed path) installed without compiling.
 func newFollowerHandler(l *psl.List, seq int, fp string, m psl.Matcher, rep *dist.Replica, rl *dist.Relay, cfg config, plane *obsPlane) (http.Handler, *serve.Service, *obs.Registry) {
-	svc := serve.NewWith(l, seq, fp, m, serve.Options{
-		MaxInFlight: cfg.maxInFlight,
-		NewMatcher:  cfg.newMatcher,
-		MatcherName: cfg.matcher,
-	})
+	svc := serve.NewWith(l, seq, fp, m, serve.Options{MaxInFlight: cfg.maxInFlight})
 	source := "follower"
 	if rl != nil {
 		source = "relay"

@@ -234,7 +234,6 @@ func TestVersionedLookupAgainstRawList(t *testing.T) {
 // fails in parseFlags — before any listener binds or history generates.
 func TestParseFlagsErrors(t *testing.T) {
 	bad := [][]string{
-		{"-matcher", "quantum"},
 		{"-failrate", "1.5"},
 		{"-failrate", "-0.1"},
 		{"-age", "-3"},
@@ -268,12 +267,12 @@ func TestParseFlagsErrors(t *testing.T) {
 		}
 	}
 
-	cfg, err := parseFlags([]string{"-matcher", "trie", "-failrate", "0.25", "-age", "30", "-debug-addr", "127.0.0.1:0",
+	cfg, err := parseFlags([]string{"-failrate", "0.25", "-age", "30", "-debug-addr", "127.0.0.1:0",
 		"-failpoints", "dist.state.rename=err(1);submit.persist.sync=crash(0.2,seed=7)"})
 	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
-	if cfg.matcher != "trie" || cfg.newMatcher == nil || cfg.failRate != 0.25 || cfg.age != 30 || cfg.debugAddr == "" {
+	if cfg.failRate != 0.25 || cfg.age != 30 || cfg.debugAddr == "" {
 		t.Errorf("parsed config %+v", cfg)
 	}
 	if cfg.failpoints != "dist.state.rename=err(1);submit.persist.sync=crash(0.2,seed=7)" {
@@ -368,7 +367,7 @@ func TestMetricsExposition(t *testing.T) {
 	if len(families) < 12 {
 		t.Errorf("/metrics exposes %d families, acceptance floor is 12", len(families))
 	}
-	if !bytes.Contains(body, []byte(`psl_serve_lookups_total{matcher="packed",result="hit"} 1`)) {
+	if !bytes.Contains(body, []byte(`psl_serve_lookups_total{result="hit"} 1`)) {
 		t.Errorf("hit counter did not move:\n%s", body)
 	}
 }

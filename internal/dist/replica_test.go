@@ -352,13 +352,20 @@ func TestReplicaBreakerOpensOnTransportFailures(t *testing.T) {
 
 // TestReplicaBudgetExhaustionEndsCycle: with a tiny retry budget, a
 // poisoned wire exhausts it and the cycle ends with a budget error
-// instead of retrying without bound.
+// instead of retrying without bound. Only the transfers the budget
+// governs are corrupted: the manifest carries a wall-clock publish
+// stamp, so corrupting it too would make where the seeded injector
+// flips bytes (and whether a poll ever reaches a transfer) depend on
+// the clock.
 func TestReplicaBudgetExhaustionEndsCycle(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(3)
 	inj := fetch.NewInjector(13, fetch.FailCorrupt)
-	ts := httptest.NewServer(inj.Wrap(o))
+	mux := http.NewServeMux()
+	mux.Handle(Prefix, inj.Wrap(o))
+	mux.Handle(ManifestPath, o)
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	opts := fastOpts()

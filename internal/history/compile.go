@@ -80,7 +80,7 @@ func (c *CompileCache) Get(seq int) (*psl.List, *psl.PackedMatcher) {
 	e.once.Do(func() {
 		t0 := time.Now()
 		e.list = c.h.ListAt(seq)
-		e.m = psl.NewPackedMatcher(e.list)
+		e.m = e.list.Matcher()
 		c.compiles.Add(1)
 		c.compileDuration.Observe(time.Since(t0))
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/history"
+	"repro/internal/psl"
 )
 
 var (
@@ -182,5 +183,29 @@ func BenchmarkHostsBySuffix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		testSnapshot.HostsBySuffix(latest)
+	}
+}
+
+// TestCrawlHostsPackedAgreesWithLinear holds the packed matcher, which
+// every production lookup and the Table 2 pass go through, to the
+// linear reference on an evenly spaced sample of 2,000 crawl hosts
+// under the head list, comparing full results.
+func TestCrawlHostsPackedAgreesWithLinear(t *testing.T) {
+	const sample = 2000
+	latest := testHistory.Latest()
+	packed, linear := latest.Matcher(), psl.NewLinearMatcher(latest)
+	hosts := testSnapshot.Hosts
+	if len(hosts) < sample {
+		t.Fatalf("only %d hosts, want at least %d", len(hosts), sample)
+	}
+	for i := 0; i < sample; i++ {
+		h := hosts[i*len(hosts)/sample]
+		ascii, err := psl.Normalize(h)
+		if err != nil {
+			t.Fatalf("crawl host %q does not normalize: %v", h, err)
+		}
+		if got, want := packed.Match(ascii), linear.Match(ascii); got != want {
+			t.Errorf("host %q: packed %+v, linear %+v", ascii, got, want)
+		}
 	}
 }

@@ -43,7 +43,7 @@ import (
 type Labels [][2]string
 
 // String renders the label set in exposition syntax, without braces:
-// `result="hit",matcher="packed"`. Empty Labels render as "".
+// `stage="risk",outcome="pass"`. Empty Labels render as "".
 func (ls Labels) String() string {
 	if len(ls) == 0 {
 		return ""

@@ -27,9 +27,9 @@ type List struct {
 	rules []Rule
 	// index of rule by canonical string, for set operations.
 	byKey map[string]int
-	// lazily built default matcher; see (*List).Matcher.
+	// lazily compiled matcher; see (*List).Matcher.
 	matcherOnce sync.Once
-	matcher     Matcher
+	matcher     *PackedMatcher
 
 	// Date is the publication date of this version (commit date in the
 	// upstream repository).
@@ -90,11 +90,21 @@ func (l *List) ComponentHistogram() map[int]int {
 	return h
 }
 
+// MaxRules is the most rule lines Parse accepts: the packed matcher
+// addresses rules in 21 bits, so a longer list could not be compiled.
+const MaxRules = packedRefMask - 1
+
 // Parse reads a list in the canonical public_suffix_list.dat format:
 // one rule per line; whitespace-trimmed; lines beginning with "//" are
 // comments; section markers assign rules to the ICANN or PRIVATE
-// sections. Invalid rules are reported with their line number.
+// sections. Invalid rules are reported with their line number, and
+// input holding more than MaxRules rules is refused.
 func Parse(r io.Reader) (*List, error) {
+	return parse(r, MaxRules)
+}
+
+// parse is Parse with the rule cap as a parameter.
+func parse(r io.Reader, maxRules int) (*List, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var rules []Rule
@@ -125,6 +135,9 @@ func Parse(r io.Reader) (*List, error) {
 		rule, err := ParseRule(line, section)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineno, err)
+		}
+		if len(rules) == maxRules {
+			return nil, fmt.Errorf("line %d: list exceeds %d rules", lineno, maxRules)
 		}
 		rules = append(rules, rule)
 	}

@@ -1,10 +1,6 @@
 package psl
 
-import (
-	"strings"
-
-	"repro/internal/domain"
-)
+import "repro/internal/domain"
 
 // Result describes the outcome of matching a domain name against a list.
 type Result struct {
@@ -28,170 +24,18 @@ type Result struct {
 //  4. If no rule matches, the implicit rule "*" prevails.
 //
 // Names passed to Match must already be normalized ASCII (lowercased,
-// A-labels, no trailing dot); List.PublicSuffix and friends handle that.
+// A-labels, no trailing dot), the form Normalize returns;
+// List.PublicSuffix and friends normalize for their callers.
 type Matcher interface {
 	// Match returns the prevailing result for the name. The name is
 	// assumed non-empty, normalized ASCII.
 	Match(name string) Result
 }
 
-// mapEntry records which rule kinds exist for one literal suffix key.
-type mapEntry struct {
-	normal    bool
-	wildcard  bool
-	exception bool
-	// sections and rule copies for reporting.
-	normalRule    Rule
-	wildcardRule  Rule
-	exceptionRule Rule
-}
-
-// MapMatcher indexes rules in a hash map keyed by literal suffix. It is
-// the default matcher: O(labels) lookups with one map probe per suffix of
-// the name.
-type MapMatcher struct {
-	m map[string]*mapEntry
-}
-
-// NewMapMatcher builds a MapMatcher over the list's rules.
-func NewMapMatcher(l *List) *MapMatcher {
-	m := make(map[string]*mapEntry, l.Len())
-	get := func(k string) *mapEntry {
-		e := m[k]
-		if e == nil {
-			e = &mapEntry{}
-			m[k] = e
-		}
-		return e
-	}
-	for _, r := range l.Rules() {
-		e := get(r.Suffix)
-		switch {
-		case r.Exception:
-			e.exception = true
-			e.exceptionRule = r
-		case r.Wildcard:
-			e.wildcard = true
-			e.wildcardRule = r
-		default:
-			e.normal = true
-			e.normalRule = r
-		}
-	}
-	return &MapMatcher{m: m}
-}
-
-// Match implements Matcher.
-func (mm *MapMatcher) Match(name string) Result {
-	best := Result{SuffixLabels: 1, Implicit: true}
-	totalLabels := domain.CountLabels(name)
-	// Walk suffixes from shortest (rightmost label) to longest (whole
-	// name), tracking the label count of each.
-	labels := 0
-	for i := len(name); i > 0; {
-		j := strings.LastIndexByte(name[:i], '.')
-		suffix := name[j+1:]
-		labels++
-		i = j
-		e, ok := mm.m[suffix]
-		if !ok {
-			continue
-		}
-		if e.exception {
-			// Exceptions prevail over everything; the public suffix
-			// is the exception's labels minus the leftmost.
-			return Result{SuffixLabels: labels - 1, Rule: e.exceptionRule}
-		}
-		if e.normal && labels >= best.SuffixLabels {
-			best = Result{SuffixLabels: labels, Rule: e.normalRule}
-		}
-		if e.wildcard && totalLabels > labels && labels+1 >= best.SuffixLabels {
-			best = Result{SuffixLabels: labels + 1, Rule: e.wildcardRule}
-		}
-	}
-	return best
-}
-
-// trieNode is one label of the TrieMatcher, keyed right-to-left.
-type trieNode struct {
-	children map[string]*trieNode
-	entry    mapEntry
-}
-
-// TrieMatcher indexes rules in a label trie walked right-to-left. It
-// probes one small map per label and, unlike MapMatcher, never hashes
-// long suffix strings, which pays off on deep names.
-type TrieMatcher struct {
-	root *trieNode
-}
-
-// NewTrieMatcher builds a TrieMatcher over the list's rules.
-func NewTrieMatcher(l *List) *TrieMatcher {
-	root := &trieNode{}
-	for _, r := range l.Rules() {
-		n := root
-		name := r.Suffix
-		for i := len(name); i > 0; {
-			j := strings.LastIndexByte(name[:i], '.')
-			label := name[j+1 : i]
-			i = j
-			if n.children == nil {
-				n.children = make(map[string]*trieNode)
-			}
-			child := n.children[label]
-			if child == nil {
-				child = &trieNode{}
-				n.children[label] = child
-			}
-			n = child
-		}
-		switch {
-		case r.Exception:
-			n.entry.exception = true
-			n.entry.exceptionRule = r
-		case r.Wildcard:
-			n.entry.wildcard = true
-			n.entry.wildcardRule = r
-		default:
-			n.entry.normal = true
-			n.entry.normalRule = r
-		}
-	}
-	return &TrieMatcher{root: root}
-}
-
-// Match implements Matcher.
-func (tm *TrieMatcher) Match(name string) Result {
-	best := Result{SuffixLabels: 1, Implicit: true}
-	totalLabels := domain.CountLabels(name)
-	n := tm.root
-	labels := 0
-	for i := len(name); i > 0 && n != nil; {
-		j := strings.LastIndexByte(name[:i], '.')
-		label := name[j+1 : i]
-		i = j
-		n = n.children[label]
-		if n == nil {
-			break
-		}
-		labels++
-		e := &n.entry
-		if e.exception {
-			return Result{SuffixLabels: labels - 1, Rule: e.exceptionRule}
-		}
-		if e.normal && labels >= best.SuffixLabels {
-			best = Result{SuffixLabels: labels, Rule: e.normalRule}
-		}
-		if e.wildcard && totalLabels > labels && labels+1 >= best.SuffixLabels {
-			best = Result{SuffixLabels: labels + 1, Rule: e.wildcardRule}
-		}
-	}
-	return best
-}
-
-// LinearMatcher checks every rule on every lookup. It exists as the
-// obviously-correct baseline for the property tests and the ablation
-// benchmarks; do not use it for bulk work.
+// LinearMatcher checks every rule on every lookup: a direct
+// transcription of the algorithm above. It is the reference the packed
+// matcher is checked against, by the differential tests and fuzzers and
+// by the submission pipeline; do not use it for bulk work.
 type LinearMatcher struct {
 	rules []Rule
 }
@@ -237,8 +81,10 @@ func (l *List) LookupAll(name string) []Rule {
 }
 
 // preferRule breaks ties between two same-length prevailing rules
-// deterministically (normal over wildcard), matching the map and trie
-// matchers, which probe normal entries first.
+// deterministically (normal over wildcard), matching the packed
+// compiler, which applies a node's normal rule before its wildcard.
 func preferRule(a, b Rule) bool {
 	return !a.Wildcard && b.Wildcard
 }
+
+var _ Matcher = (*LinearMatcher)(nil)

@@ -45,8 +45,8 @@ import (
 // observe: a wildcard at the node itself needs an extra label to its
 // left). Each half packs rule index+1 in 21 bits (0 = the implicit "*"
 // rule) and the prevailing suffix label count in the 11 bits above.
-// The compiler walks each node's ancestor path applying exactly the
-// map matcher's prevailing-rule order — exceptions freeze the walk,
+// The compiler walks each node's ancestor path right-to-left applying
+// the prevailing-rule order — exceptions freeze the walk,
 // longer rules beat shorter, wildcards claim one extra label — so
 // Match never evaluates rule semantics at lookup time: it finds the
 // deepest stored suffix of the name and reads the finished answer.
@@ -166,8 +166,8 @@ type pnode struct {
 	resExact, resExt uint32
 }
 
-// presult is one prevailing result while the compiler replays the map
-// matcher's walk along a node's ancestor path.
+// presult is one prevailing result while the compiler walks a node's
+// ancestor path right-to-left.
 type presult struct {
 	labels int32
 	ref    uint32 // rule index+1; 0 = the implicit "*" rule
@@ -179,8 +179,8 @@ func packResult(r presult) uint32 {
 	return r.ref | uint32(r.labels)<<packedRefBits
 }
 
-// applyPath extends a path result with one more node, replicating the
-// map matcher's per-suffix order exactly: exceptions prevail and end
+// applyPath extends a path result with one more node, applying the
+// prevailing-rule order for one suffix: exceptions prevail and end
 // the walk, longer or equal normal rules replace the best, and a
 // wildcard claims one extra label — unless the name ends exactly at
 // this node (final), in which case there is no extra label for the
@@ -208,8 +208,9 @@ func applyPath(base presult, n *pnode, final bool) presult {
 // nodes, then freezes them into the hash table in sorted-suffix order
 // (which makes the layout, and therefore Marshal, deterministic).
 //
-// The packed encoding caps lists at 2^21-2 rules and suffixes at 2^16-1
-// bytes; the real list is three orders of magnitude below both.
+// The packed encoding caps lists at MaxRules rules (Parse enforces it)
+// and suffixes at 2^16-1 bytes; the real list is three orders of
+// magnitude below both.
 func NewPackedMatcher(l *List) *PackedMatcher {
 	rules := l.Rules()
 	if len(rules) >= packedRefMask {
@@ -246,7 +247,7 @@ func NewPackedMatcher(l *List) *PackedMatcher {
 			last = n
 		}
 		if last == nil {
-			continue // empty suffix attaches nowhere, like the trie builder
+			continue // an empty suffix attaches nowhere
 		}
 		switch {
 		case r.Exception:

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestPackedAgreesOnFixture pins the packed matcher to the map baseline
-// on the canonical fixture names, including Rule identity.
+// TestPackedAgreesOnFixture pins the packed matcher to the linear
+// reference on the canonical fixture names, including Rule identity.
 func TestPackedAgreesOnFixture(t *testing.T) {
 	l := fixture(t)
-	mm := NewMapMatcher(l)
+	lm := NewLinearMatcher(l)
 	pm := NewPackedMatcher(l)
 	names := []string{
 		"com", "example.com", "a.b.example.com", "b.test.ck", "www.ck",
@@ -19,24 +19,24 @@ func TestPackedAgreesOnFixture(t *testing.T) {
 		"xn--85x722f.xn--55qx5d.cn",
 	}
 	for _, name := range names {
-		if got, want := pm.Match(name), mm.Match(name); got != want {
-			t.Errorf("packed.Match(%q) = %+v, map says %+v", name, got, want)
+		if got, want := pm.Match(name), lm.Match(name); got != want {
+			t.Errorf("packed.Match(%q) = %+v, linear says %+v", name, got, want)
 		}
 	}
 }
 
-// TestPackedRandomised drives the packed matcher against the map
-// baseline over randomized lists and names, comparing full Results.
+// TestPackedRandomised drives the packed matcher against the linear
+// reference over randomized lists and names, comparing full Results.
 func TestPackedRandomised(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 300; trial++ {
 		l := randomList(rng)
-		mm := NewMapMatcher(l)
+		lm := NewLinearMatcher(l)
 		pm := NewPackedMatcher(l)
 		for i := 0; i < 50; i++ {
 			name := randomName(rng)
-			if got, want := pm.Match(name), mm.Match(name); got != want {
-				t.Fatalf("trial %d: packed.Match(%q) = %+v, map says %+v\nrules: %v",
+			if got, want := pm.Match(name), lm.Match(name); got != want {
+				t.Fatalf("trial %d: packed.Match(%q) = %+v, linear says %+v\nrules: %v",
 					trial, name, got, want, l.Rules())
 			}
 		}
@@ -57,14 +57,14 @@ func TestPackedMarshalRoundtrip(t *testing.T) {
 		t.Fatalf("roundtrip changed shape: %d/%d rules, %d/%d bytes",
 			back.Len(), pm.Len(), back.SizeBytes(), pm.SizeBytes())
 	}
-	mm := NewMapMatcher(l)
+	lm := NewLinearMatcher(l)
 	names := []string{
 		"com", "a.b.example.com", "www.ck", "b.test.ck", "www.city.kobe.jp",
 		"alice.blogspot.com", "a.b.c.compute.amazonaws.com", "unlisted.zone",
 	}
 	for _, name := range names {
-		if got, want := back.Match(name), mm.Match(name); got != want {
-			t.Errorf("unmarshalled.Match(%q) = %+v, map says %+v", name, got, want)
+		if got, want := back.Match(name), lm.Match(name); got != want {
+			t.Errorf("unmarshalled.Match(%q) = %+v, linear says %+v", name, got, want)
 		}
 	}
 	if again := back.Marshal(); string(again) != string(blob) {
@@ -78,15 +78,15 @@ func TestPackedRoundtripRandomised(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 100; trial++ {
 		l := randomList(rng)
-		mm := NewMapMatcher(l)
+		lm := NewLinearMatcher(l)
 		back, err := UnmarshalPackedMatcher(NewPackedMatcher(l).Marshal())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for i := 0; i < 20; i++ {
 			name := randomName(rng)
-			if got, want := back.Match(name), mm.Match(name); got != want {
-				t.Fatalf("trial %d: roundtripped.Match(%q) = %+v, map says %+v",
+			if got, want := back.Match(name), lm.Match(name); got != want {
+				t.Fatalf("trial %d: roundtripped.Match(%q) = %+v, linear says %+v",
 					trial, name, got, want)
 			}
 		}
@@ -182,7 +182,7 @@ func TestPackedMatchZeroAlloc(t *testing.T) {
 // Check) plus match plus site derivation must stay allocation-free.
 func TestSiteZeroAllocOnCanonicalInput(t *testing.T) {
 	l := fixture(t)
-	l.Matcher() // pre-build the lazy default matcher
+	l.Matcher() // compile the list's matcher outside the measured calls
 	for _, name := range []string{"a.b.example.com", "b.c.kobe.jp", "x.co.uk"} {
 		if n := testing.AllocsPerRun(200, func() { l.SiteOrSelf(name) }); n != 0 {
 			t.Errorf("SiteOrSelf(%q) allocates %.1f/op, want 0", name, n)
@@ -208,9 +208,9 @@ func TestPackedSizeReasonable(t *testing.T) {
 // cover repeated descents.
 func TestPackedDeepName(t *testing.T) {
 	l := fixture(t)
-	mm, pm := NewMapMatcher(l), NewPackedMatcher(l)
+	lm, pm := NewLinearMatcher(l), NewPackedMatcher(l)
 	name := strings.Repeat("x.", 60) + "ide.kyoto.jp"
-	if got, want := pm.Match(name), mm.Match(name); got != want {
-		t.Errorf("deep name: packed %+v, map %+v", got, want)
+	if got, want := pm.Match(name), lm.Match(name); got != want {
+		t.Errorf("deep name: packed %+v, linear %+v", got, want)
 	}
 }

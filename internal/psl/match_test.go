@@ -49,30 +49,35 @@ func randomName(rng *rand.Rand) string {
 	return strings.Join(parts, ".")
 }
 
-// TestMatchersAgree is the core equivalence property: the map, trie and
-// linear matchers produce identical suffix-label counts (and implicit
-// flags) on randomized lists and names.
+// nestedExceptions reports whether more than one exception rule of the
+// list matches name. The upstream algorithm does not say which of them
+// prevails (real lists never nest exceptions), so the differential
+// tests skip such names.
+func nestedExceptions(l *List, name string) bool {
+	n := 0
+	for _, r := range l.Rules() {
+		if r.Exception && r.Match(name) {
+			n++
+		}
+	}
+	return n > 1
+}
+
+// TestMatchersAgree is the core equivalence property: the packed
+// matcher and the linear reference produce identical suffix-label
+// counts (and implicit flags) on randomized lists and names.
 func TestMatchersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		l := randomList(rng)
-		mm := NewMapMatcher(l)
-		tm := NewTrieMatcher(l)
 		lm := NewLinearMatcher(l)
-		sm := NewSortedMatcher(l)
 		pm := NewPackedMatcher(l)
 		for i := 0; i < 50; i++ {
 			name := randomName(rng)
-			a, b, c, d := mm.Match(name), tm.Match(name), lm.Match(name), sm.Match(name)
-			e := pm.Match(name)
-			if a.SuffixLabels != b.SuffixLabels || a.SuffixLabels != c.SuffixLabels ||
-				a.SuffixLabels != d.SuffixLabels || a.SuffixLabels != e.SuffixLabels {
-				t.Fatalf("trial %d: matchers disagree on %q over %v:\n map=%+v\n trie=%+v\n linear=%+v\n sorted=%+v\n packed=%+v",
-					trial, name, l.Rules(), a, b, c, d, e)
-			}
-			if a.Implicit != b.Implicit || a.Implicit != c.Implicit || a.Implicit != d.Implicit ||
-				a.Implicit != e.Implicit {
-				t.Fatalf("trial %d: implicit flags disagree on %q: %+v %+v %+v %+v %+v", trial, name, a, b, c, d, e)
+			want, got := lm.Match(name), pm.Match(name)
+			if got.SuffixLabels != want.SuffixLabels || got.Implicit != want.Implicit {
+				t.Fatalf("trial %d: matchers disagree on %q over %v:\n linear=%+v\n packed=%+v",
+					trial, name, l.Rules(), want, got)
 			}
 		}
 	}
@@ -136,28 +141,16 @@ func TestSuffixIsSuffixOfName(t *testing.T) {
 // fixture rules too.
 func TestMatchersAgreeOnFixture(t *testing.T) {
 	l := fixture(t)
-	matchers := []struct {
-		name string
-		m    Matcher
-	}{
-		{"map", NewMapMatcher(l)},
-		{"trie", NewTrieMatcher(l)},
-		{"linear", NewLinearMatcher(l)},
-		{"sorted", NewSortedMatcher(l)},
-		{"packed", NewPackedMatcher(l)},
-	}
+	lm, pm := NewLinearMatcher(l), NewPackedMatcher(l)
 	names := []string{
 		"com", "example.com", "a.b.example.com", "b.test.ck", "www.ck",
 		"www.city.kobe.jp", "x.y.kobe.jp", "unlisted", "deep.unlisted.name",
 		"alice.blogspot.com", "a.b.c.compute.amazonaws.com",
 	}
 	for _, name := range names {
-		want := matchers[0].m.Match(name)
-		for _, m := range matchers[1:] {
-			got := m.m.Match(name)
-			if got.SuffixLabels != want.SuffixLabels || got.Implicit != want.Implicit {
-				t.Errorf("%s disagrees with map on %q: %+v vs %+v", m.name, name, got, want)
-			}
+		want, got := lm.Match(name), pm.Match(name)
+		if got.SuffixLabels != want.SuffixLabels || got.Implicit != want.Implicit {
+			t.Errorf("packed disagrees with linear on %q: %+v vs %+v", name, got, want)
 		}
 	}
 }
@@ -180,7 +173,7 @@ func TestLookupAll(t *testing.T) {
 
 func TestWildcardNeedsExtraLabel(t *testing.T) {
 	l := MustParse("*.ck\n")
-	for _, m := range []Matcher{NewMapMatcher(l), NewTrieMatcher(l), NewLinearMatcher(l), NewSortedMatcher(l), NewPackedMatcher(l)} {
+	for _, m := range []Matcher{NewLinearMatcher(l), NewPackedMatcher(l)} {
 		res := m.Match("ck")
 		if !res.Implicit || res.SuffixLabels != 1 {
 			t.Errorf("%T.Match(ck) = %+v, want implicit 1 label", m, res)
@@ -190,7 +183,7 @@ func TestWildcardNeedsExtraLabel(t *testing.T) {
 
 func TestNormalBeatsWildcardAtSameLength(t *testing.T) {
 	l := MustParse("*.ck\nfoo.ck\n")
-	for _, m := range []Matcher{NewMapMatcher(l), NewTrieMatcher(l), NewLinearMatcher(l), NewSortedMatcher(l), NewPackedMatcher(l)} {
+	for _, m := range []Matcher{NewLinearMatcher(l), NewPackedMatcher(l)} {
 		res := m.Match("foo.ck")
 		if res.SuffixLabels != 2 {
 			t.Fatalf("%T: SuffixLabels = %d, want 2", m, res.SuffixLabels)
@@ -253,13 +246,8 @@ func benchMatcher(b *testing.B, m Matcher) {
 	}
 }
 
-func BenchmarkMatcherAblationMap(b *testing.B)  { benchMatcher(b, NewMapMatcher(benchList(b, 9000))) }
-func BenchmarkMatcherAblationTrie(b *testing.B) { benchMatcher(b, NewTrieMatcher(benchList(b, 9000))) }
 func BenchmarkMatcherAblationLinear(b *testing.B) {
 	benchMatcher(b, NewLinearMatcher(benchList(b, 9000)))
-}
-func BenchmarkMatcherAblationSorted(b *testing.B) {
-	benchMatcher(b, NewSortedMatcher(benchList(b, 9000)))
 }
 func BenchmarkMatcherAblationPacked(b *testing.B) {
 	benchMatcher(b, NewPackedMatcher(benchList(b, 9000)))

@@ -18,20 +18,22 @@ var (
 	ErrIsSuffix = errors.New("psl: name is a public suffix")
 )
 
-// Matcher returns the list's default matcher, building it on first use.
-// Lists are immutable after construction, so the matcher is cached for
-// the list's lifetime and freed with it.
-func (l *List) Matcher() Matcher {
-	l.matcherOnce.Do(func() { l.matcher = NewMapMatcher(l) })
+// Matcher returns the list's packed matcher, compiling it on first use.
+// Lists are immutable after construction, so the matcher is compiled
+// once for the list's lifetime and freed with it.
+func (l *List) Matcher() *PackedMatcher {
+	l.matcherOnce.Do(func() { l.matcher = NewPackedMatcher(l) })
 	return l.matcher
 }
 
-// normalize brings raw input into the canonical ASCII form the matchers
-// expect, rejecting IPs and invalid hostnames.
-func normalize(name string) (string, error) {
+// Normalize brings raw input into the canonical ASCII form the matchers
+// expect: lowercased, IDNA A-labels, no trailing dot. Empty input, IP
+// address literals and invalid hostnames are rejected with an error
+// wrapping ErrNotDomain.
+func Normalize(name string) (string, error) {
 	name = domain.Normalize(name)
 	if name == "" || domain.IsIP(name) {
-		return "", ErrNotDomain
+		return "", fmt.Errorf("%w: %q", ErrNotDomain, name)
 	}
 	ascii, err := idna.ToASCII(name)
 	if err != nil {
@@ -48,7 +50,7 @@ func normalize(name string) (string, error) {
 // section. Unlisted TLDs fall back to the implicit "*" rule, matching
 // browser behaviour, and report icann=false.
 func (l *List) PublicSuffix(name string) (suffix string, icann bool, err error) {
-	ascii, err := normalize(name)
+	ascii, err := Normalize(name)
 	if err != nil {
 		return "", false, err
 	}
@@ -66,7 +68,7 @@ func (l *List) PublicSuffix(name string) (suffix string, icann bool, err error) 
 // this list version: the public suffix plus one label. It errors if the
 // name is itself a public suffix.
 func (l *List) Site(name string) (string, error) {
-	ascii, err := normalize(name)
+	ascii, err := Normalize(name)
 	if err != nil {
 		return "", err
 	}
@@ -92,7 +94,7 @@ func (l *List) siteASCII(ascii string) (string, error) {
 // name is a bare public suffix. The measurement pipeline uses this total
 // function so every hostname maps to exactly one site.
 func (l *List) SiteOrSelf(name string) string {
-	ascii, err := normalize(name)
+	ascii, err := Normalize(name)
 	if err != nil {
 		return name
 	}
@@ -123,8 +125,8 @@ func (l *List) IsThirdParty(pageHost, requestHost string) bool {
 // site. Rejecting public-suffix-scoped cookies is the "supercookie"
 // filtering the paper describes.
 func (l *List) CookieDomainAllowed(host, domainAttr string) bool {
-	h, err1 := normalize(host)
-	d, err2 := normalize(domainAttr)
+	h, err1 := Normalize(host)
+	d, err2 := Normalize(domainAttr)
 	if err1 != nil || err2 != nil {
 		return false
 	}

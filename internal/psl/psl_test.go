@@ -277,6 +277,19 @@ func TestParseRejectsBadRules(t *testing.T) {
 	}
 }
 
+// TestParseRejectsOverCapLists: a list longer than the packed matcher
+// can address is refused when parsed, not at its first lookup.
+func TestParseRejectsOverCapLists(t *testing.T) {
+	text := "a\nb\nc\n"
+	if _, err := parse(strings.NewReader(text), 3); err != nil {
+		t.Fatalf("list at the cap refused: %v", err)
+	}
+	_, err := parse(strings.NewReader(text+"// comment\nd\n"), 3)
+	if err == nil || err.Error() != "line 5: list exceeds 3 rules" {
+		t.Fatalf("over-cap list: err = %v, want line 5 refusal", err)
+	}
+}
+
 func TestParseSections(t *testing.T) {
 	l := fixture(t)
 	var icann, private int

@@ -7,23 +7,19 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/psl"
 	"repro/internal/resilience"
 )
 
-// TestSnapshotDefaultsToPackedMatcher pins the serving default: unless
-// Options.NewMatcher overrides it, snapshots answer through the packed
-// compiled matcher.
+// TestSnapshotDefaultsToPackedMatcher pins the serving default:
+// snapshots answer through the list's own packed matcher, so a list
+// that is both served and queried through the library compiles once.
 func TestSnapshotDefaultsToPackedMatcher(t *testing.T) {
-	snap := NewSnapshot(fixture(t), -1)
-	if _, ok := snap.Matcher.(*psl.PackedMatcher); !ok {
-		t.Fatalf("default snapshot matcher is %T, want *psl.PackedMatcher", snap.Matcher)
+	l := fixture(t)
+	if snap := NewSnapshot(l, -1); snap.Matcher != l.Matcher() {
+		t.Fatalf("snapshot matcher is %T %p, want the list's packed matcher %p", snap.Matcher, snap.Matcher, l.Matcher())
 	}
-	svc := New(fixture(t), -1, Options{
-		NewMatcher: func(l *psl.List) psl.Matcher { return psl.NewTrieMatcher(l) },
-	})
-	if _, ok := svc.Current().Matcher.(*psl.TrieMatcher); !ok {
-		t.Fatalf("override ignored: snapshot matcher is %T", svc.Current().Matcher)
+	if m := New(l, -1, Options{}).Current().Matcher; m != l.Matcher() {
+		t.Fatalf("service snapshot matcher is %T %p, want the list's packed matcher", m, m)
 	}
 }
 
@@ -37,7 +33,7 @@ func TestLookupCachedHitZeroAlloc(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"instrumented": {},
 		"metricsOff":   {DisableMetrics: true},
-		"withRegistry": {MatcherName: "packed"},
+		"withRegistry": {},
 	} {
 		svc := New(fixture(t), -1, opts)
 		if name == "withRegistry" {

@@ -5,9 +5,9 @@
 // package's race/stress tests and the BenchmarkServeLookup* benchmarks.
 //
 // Every answer can be verified against a caller-supplied oracle (the
-// Map-matcher library answer for the version the response names), so a
-// run doubles as a correctness check: under swaps, a response must be
-// internally consistent with whichever version produced it.
+// library answer for the version the response names), so a run doubles
+// as a correctness check: under swaps, a response must be internally
+// consistent with whichever version produced it.
 package loadgen
 
 import (

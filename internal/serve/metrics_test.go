@@ -42,9 +42,9 @@ func TestServiceMetricsExposition(t *testing.T) {
 		t.Fatalf("exposition invalid: %v\n%s", err, doc)
 	}
 	for _, want := range []string{
-		`psl_serve_lookups_total{matcher="packed",result="hit"} 5`,
-		`psl_serve_lookups_total{matcher="packed",result="miss"} 2`,
-		`psl_serve_lookups_total{matcher="packed",result="error"} 1`,
+		`psl_serve_lookups_total{result="hit"} 5`,
+		`psl_serve_lookups_total{result="miss"} 2`,
+		`psl_serve_lookups_total{result="error"} 1`,
 		`psl_serve_swaps_total 2`,
 		"psl_serve_lookup_duration_seconds_bucket",
 		"psl_serve_cache_bytes",
@@ -84,12 +84,6 @@ func TestServiceVersionedLookupCompileOnce(t *testing.T) {
 	}
 	if svc.Current().Seq != 5 {
 		t.Errorf("current seq = %d, want 5", svc.Current().Seq)
-	}
-
-	// A NewMatcher override must not engage the packed compile cache.
-	override := NewFromHistory(h, h.Len()-1, Options{NewMatcher: nil, MatcherName: "packed"})
-	if override.compiled == nil {
-		t.Error("named default matcher should still use the compile cache")
 	}
 }
 

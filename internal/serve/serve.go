@@ -39,14 +39,6 @@ type Options struct {
 	// VersionCacheSize bounds how many historical snapshots are kept
 	// materialised for ?version=N lookups. <= 0 selects 8.
 	VersionCacheSize int
-	// NewMatcher, when set, overrides how snapshot matchers are built
-	// (for ablation or debugging against the other implementations).
-	// nil selects the packed compiled matcher.
-	NewMatcher func(*psl.List) psl.Matcher
-	// MatcherName names the matcher implementation in metric labels and
-	// /healthz. Empty selects "packed" when NewMatcher is nil and
-	// "custom" otherwise.
-	MatcherName string
 	// DisableMetrics turns off latency instrumentation (the lookup
 	// counters stay on — they predate the metrics layer and are part of
 	// CacheStats). Exists so BenchmarkServeLookupInstrumented can
@@ -133,8 +125,6 @@ type Service struct {
 	blobInstalls    obs.Counter
 	reuseInstalls   obs.Counter
 
-	matcherName string
-
 	// src describes where snapshots come from; nil means the default
 	// local source (the service owns its list or history directly).
 	src atomic.Pointer[srcInfo]
@@ -151,8 +141,7 @@ type Service struct {
 	tokens chan struct{}
 
 	// compiled amortises matcher compilation for ?version=N lookups
-	// over the shared history compile cache (default matcher only;
-	// NewMatcher overrides fall back to per-version builds).
+	// over the shared history compile cache; nil without a History.
 	compiled *history.CompileCache
 
 	// bounded cache of materialised historical snapshots for
@@ -196,17 +185,8 @@ func newService(opts Options) *Service {
 	if opts.VersionCacheSize <= 0 {
 		opts.VersionCacheSize = 8
 	}
-	name := opts.MatcherName
-	if name == "" {
-		if opts.NewMatcher == nil {
-			name = "packed"
-		} else {
-			name = "custom"
-		}
-	}
 	s := &Service{
 		opts:         opts,
-		matcherName:  name,
 		tokens:       make(chan struct{}, opts.MaxInFlight),
 		versionSnaps: make(map[int]*Snapshot),
 		start:        time.Now(),
@@ -218,7 +198,7 @@ func newService(opts Options) *Service {
 			batch: obs.NewHistogram(nil),
 		}
 	}
-	if opts.History != nil && opts.NewMatcher == nil {
+	if opts.History != nil {
 		s.compiled = history.NewCompileCache(opts.History, opts.VersionCacheSize)
 	}
 	mux := http.NewServeMux()
@@ -306,25 +286,24 @@ func NewFromHistory(h *history.History, seq int, opts Options) *Service {
 
 // RegisterMetrics attaches the service's metric families to a registry
 // (DESIGN.md §10 naming): lookup counters and latency histograms
-// labelled by matcher and result, swap/age/rules snapshot telemetry,
+// labelled by result, swap/age/rules snapshot telemetry,
 // cache occupancy, and admission-control counters and gauges. When the
 // service runs versioned lookups over a compile cache, that cache's
 // families are registered too.
 func (s *Service) RegisterMetrics(r *obs.Registry) {
-	n := s.matcherName
 	r.MustRegister("psl_serve_lookups_total", "Lookups by result (hit/miss against the answer cache, error for invalid hosts).",
-		obs.Labels{{"matcher", n}, {"result", "hit"}}, &s.hits)
+		obs.Labels{{"result", "hit"}}, &s.hits)
 	r.MustRegister("psl_serve_lookups_total", "Lookups by result (hit/miss against the answer cache, error for invalid hosts).",
-		obs.Labels{{"matcher", n}, {"result", "miss"}}, &s.misses)
+		obs.Labels{{"result", "miss"}}, &s.misses)
 	r.MustRegister("psl_serve_lookups_total", "Lookups by result (hit/miss against the answer cache, error for invalid hosts).",
-		obs.Labels{{"matcher", n}, {"result", "error"}}, &s.errs)
+		obs.Labels{{"result", "error"}}, &s.errs)
 	if s.m != nil {
 		r.MustRegister("psl_serve_lookup_duration_seconds",
 			fmt.Sprintf("Lookup latency by result; hits are sampled 1/%d, misses always timed.", hitSampleEvery),
-			obs.Labels{{"matcher", n}, {"result", "hit"}}, s.m.hit)
+			obs.Labels{{"result", "hit"}}, s.m.hit)
 		r.MustRegister("psl_serve_lookup_duration_seconds",
 			fmt.Sprintf("Lookup latency by result; hits are sampled 1/%d, misses always timed.", hitSampleEvery),
-			obs.Labels{{"matcher", n}, {"result", "miss"}}, s.m.miss)
+			obs.Labels{{"result", "miss"}}, s.m.miss)
 	}
 	r.MustRegister("psl_serve_swaps_total", "Snapshot swaps installed, including the initial one.", nil,
 		obs.CounterFunc(func() float64 { return float64(s.gen.Load()) }))
@@ -353,7 +332,7 @@ func (s *Service) RegisterMetrics(r *obs.Registry) {
 	r.MustRegister("psl_serve_batch_rejected_total", "Batch requests rejected with 503 by admission control.", nil, &s.batchRejected)
 	if s.m != nil {
 		r.MustRegister("psl_serve_batch_duration_seconds", "Whole-batch service time (one observation per batch request).",
-			obs.Labels{{"matcher", n}}, s.m.batch)
+			nil, s.m.batch)
 	}
 	r.MustRegister("psl_serve_matcher_installs_total", "Snapshot matcher installs by provenance (compile, blob, reuse).",
 		obs.Labels{{"source", "compile"}}, &s.compileInstalls)
@@ -425,15 +404,10 @@ func (s *Service) SwapVerified(l *psl.List, seq int, fp string, m psl.Matcher) *
 	return s.install(snap)
 }
 
-// buildSnapshot constructs a snapshot honouring the Options.NewMatcher
-// override; the default is the packed compiled matcher. Every call is a
-// full matcher compile and counts as one in the install-provenance
-// metric.
+// buildSnapshot constructs a snapshot over the list's packed matcher.
+// Every call counts as one compile in the install-provenance metric.
 func (s *Service) buildSnapshot(l *psl.List, seq int) *Snapshot {
 	s.compileInstalls.Add(1)
-	if s.opts.NewMatcher != nil {
-		return NewSnapshotWith(l, seq, s.opts.NewMatcher(l))
-	}
 	return NewSnapshot(l, seq)
 }
 
@@ -546,22 +520,16 @@ func (s *Service) LookupAt(host string, seq int) (Answer, error) {
 
 // versionSnapshot returns a materialised snapshot of history version
 // seq, keeping a small FIFO-bounded cache of recently used versions.
-// With the default matcher, compilation goes through the shared history
-// compile cache so SetVersion and LookupAt never compile one version
-// twice.
+// Compilation goes through the shared history compile cache so
+// SetVersion and LookupAt never compile one version twice.
 func (s *Service) versionSnapshot(seq int) *Snapshot {
 	s.versionMu.Lock()
 	defer s.versionMu.Unlock()
 	if snap, ok := s.versionSnaps[seq]; ok {
 		return snap
 	}
-	var snap *Snapshot
-	if s.compiled != nil {
-		l, m := s.compiled.Get(seq)
-		snap = NewSnapshotWith(l, seq, m)
-	} else {
-		snap = s.buildSnapshot(s.opts.History.ListAt(seq), seq)
-	}
+	l, m := s.compiled.Get(seq)
+	snap := NewSnapshotWith(l, seq, m)
 	for len(s.versionOrder) >= s.opts.VersionCacheSize {
 		old := s.versionOrder[0]
 		s.versionOrder = s.versionOrder[1:]
@@ -684,7 +652,6 @@ type healthBody struct {
 	Status             string   `json:"status"`
 	Version            string   `json:"version"`
 	Seq                int      `json:"seq"`
-	Matcher            string   `json:"matcher"`
 	GoVersion          string   `json:"go_version"`
 	Swaps              uint64   `json:"swaps"`
 	SnapshotAgeSeconds float64  `json:"snapshot_age_seconds"`
@@ -719,7 +686,6 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 		LagSeqs:            lag,
 		Version:            snap.List.Version,
 		Seq:                snap.Seq,
-		Matcher:            s.matcherName,
 		GoVersion:          runtime.Version(),
 		Swaps:              s.Swaps(),
 		SnapshotAgeSeconds: age.Seconds(),

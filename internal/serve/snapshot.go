@@ -5,18 +5,15 @@
 // graceful shutdown.
 //
 // The serving layer is required to stay byte-for-byte consistent with
-// the offline matchers — the differential tests in this package and in
-// internal/psl enforce agreement with the Map-matcher baseline — so a
-// snapshot is nothing more than an immutable (*psl.List, Matcher) pair
-// plus identity metadata. Swapping a snapshot is a single atomic pointer
+// the library — the differential tests in this package and in
+// internal/psl hold it to the linear reference matcher — so a snapshot
+// is nothing more than an immutable (*psl.List, Matcher) pair plus
+// identity metadata. Swapping a snapshot is a single atomic pointer
 // store; the read path takes no lock.
 package serve
 
 import (
-	"fmt"
-
 	"repro/internal/domain"
-	"repro/internal/idna"
 	"repro/internal/psl"
 )
 
@@ -26,9 +23,9 @@ import (
 type Snapshot struct {
 	// List is the list version this snapshot answers for.
 	List *psl.List
-	// Matcher answers lookups for this snapshot. By default it is the
-	// packed compiled matcher (zero-allocation flat-buffer trie);
-	// Options.NewMatcher can substitute any other implementation.
+	// Matcher answers lookups for this snapshot: the packed compiled
+	// matcher (zero-allocation flat-buffer trie), or the linear
+	// reference in differential tests.
 	Matcher psl.Matcher
 	// Seq is the history sequence number of the version, or -1 when the
 	// snapshot was installed from a bare list outside any history.
@@ -44,16 +41,18 @@ type Snapshot struct {
 	Gen uint64
 }
 
-// NewSnapshot builds a snapshot over a list, compiling the list into the
-// packed flat-buffer matcher so the serving hot path is allocation-free.
-// seq may be -1 for lists that do not come from a history.
+// NewSnapshot builds a snapshot over a list answering through the
+// list's own packed matcher (psl.List.Matcher), so the serving hot path
+// is allocation-free and a list that is also queried through the
+// library compiles once. seq may be -1 for lists that do not come from
+// a history.
 func NewSnapshot(l *psl.List, seq int) *Snapshot {
-	return NewSnapshotWith(l, seq, psl.NewPackedMatcher(l))
+	return NewSnapshotWith(l, seq, l.Matcher())
 }
 
 // NewSnapshotWith builds a snapshot answering through an explicit
-// matcher, for callers that want a different representation (or a
-// pre-compiled packed matcher from a cache).
+// matcher: a pre-compiled packed matcher from a blob, or the linear
+// reference in tests.
 func NewSnapshotWith(l *psl.List, seq int, m psl.Matcher) *Snapshot {
 	return &Snapshot{List: l, Matcher: m, Seq: seq}
 }
@@ -99,12 +98,12 @@ type Answer struct {
 }
 
 // Resolve answers a lookup against this snapshot, bypassing any cache.
-// It normalizes the host exactly as psl.List.PublicSuffix does, matches
-// once, and derives suffix and site from the single match result, so the
-// answer is identical to the library's (the differential tests pin
-// this).
+// It normalizes the host with psl.Normalize, as the library does,
+// matches once, and derives suffix and site from the single match
+// result, so the answer is identical to the library's (the differential
+// tests pin this).
 func (s *Snapshot) Resolve(host string) (Answer, error) {
-	ascii, err := normalizeHost(host)
+	ascii, err := psl.Normalize(host)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -137,23 +136,4 @@ func (s *Snapshot) Resolve(host string) (Answer, error) {
 		a.IsSuffix = true
 	}
 	return a, nil
-}
-
-// normalizeHost is the package-level twin of the unexported normalize in
-// internal/psl: canonical lowercase ASCII, IPs and invalid hostnames
-// rejected. Keeping the steps identical is what lets Resolve reproduce
-// the library's answers exactly.
-func normalizeHost(name string) (string, error) {
-	name = domain.Normalize(name)
-	if name == "" || domain.IsIP(name) {
-		return "", fmt.Errorf("%w: %q", psl.ErrNotDomain, name)
-	}
-	ascii, err := idna.ToASCII(name)
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", psl.ErrNotDomain, err)
-	}
-	if err := domain.Check(ascii); err != nil {
-		return "", fmt.Errorf("%w: %v", psl.ErrNotDomain, err)
-	}
-	return ascii, nil
 }

@@ -15,8 +15,8 @@ import (
 // stressEnv prepares a history service plus the pre-materialised
 // per-version lists the oracle verifies against. Every list the swapper
 // installs is also the list the oracle consults for that seq, so a
-// response is wrong exactly when it disagrees with the Map-matcher
-// library answer for the version it claims to have used.
+// response is wrong exactly when it disagrees with the library answer
+// for the version it claims to have used.
 type stressEnv struct {
 	svc   *serve.Service
 	lists []*psl.List
@@ -71,7 +71,7 @@ func (e *stressEnv) verify(a serve.Answer) error {
 // TestStressSwapsUnderLoad is the acceptance harness: >= 16 concurrent
 // clients hammer Lookup while a background goroutine performs >= 100
 // snapshot swaps across history versions; every answer must match the
-// Map-matcher oracle for the version it names. Run it under -race.
+// library oracle for the version it names. Run it under -race.
 func TestStressSwapsUnderLoad(t *testing.T) {
 	e := newStressEnv(t, 40)
 	const swaps = 120

@@ -416,7 +416,7 @@ func (p *Pipeline) Process(id string) (*Submission, error) {
 	}
 	next := old.WithoutRules(removed...).WithRules(added...)
 
-	// Stage 2: semantic validation (differential across all matchers).
+	// Stage 2: semantic validation (packed matcher vs linear reference).
 	if v = p.runSemantic(old, next, added, removed); !v.Passed {
 		return reject(v)
 	}
@@ -644,17 +644,6 @@ func probesFor(r psl.Rule) []string {
 	return []string{s, "probe-a." + s, "probe-b.probe-a." + s}
 }
 
-// matcherSet builds all five matcher implementations over one list.
-func matcherSet(l *psl.List) map[string]psl.Matcher {
-	return map[string]psl.Matcher{
-		"map":    psl.NewMapMatcher(l),
-		"trie":   psl.NewTrieMatcher(l),
-		"sorted": psl.NewSortedMatcher(l),
-		"linear": psl.NewLinearMatcher(l),
-		"packed": psl.NewPackedMatcher(l),
-	}
-}
-
 // resultKey canonicalises a Match result for comparison.
 func resultKey(r psl.Result) string {
 	if r.Implicit {
@@ -665,10 +654,12 @@ func resultKey(r psl.Result) string {
 
 // runSemantic validates the delta's meaning: wildcard/exception
 // pairing, reachability of every added rule, fingerprint neutrality,
-// and — differentially — that all five matcher implementations agree
-// on every probe the change can influence. A disagreement would mean
-// replicas compiled from different representations diverge, the one
-// failure mode the dist fingerprint chain cannot catch.
+// and — differentially — that the packed matcher every replica compiles
+// agrees with the linear reference on every probe the change can
+// influence. A disagreement would mean the fleet serves answers the
+// list does not say, the one failure mode the dist fingerprint chain
+// cannot catch. The lists' packed matchers compiled here are the ones
+// the risk stage reuses.
 func (p *Pipeline) runSemantic(old, next *psl.List, added, removed []psl.Rule) Verdict {
 	var findings []string
 
@@ -712,7 +703,7 @@ func (p *Pipeline) runSemantic(old, next *psl.List, added, removed []psl.Rule) V
 	behavior := func(r psl.Result) string {
 		return fmt.Sprintf("%d/%v", r.SuffixLabels, r.Implicit)
 	}
-	oldM, nextM := psl.NewMapMatcher(old), psl.NewMapMatcher(next)
+	oldM, nextM := old.Matcher(), next.Matcher()
 	for _, r := range added {
 		effect := false
 		for _, probe := range probesFor(r) {
@@ -733,22 +724,17 @@ func (p *Pipeline) runSemantic(old, next *psl.List, added, removed []psl.Rule) V
 		findings = append(findings, "delta does not change the rule-set fingerprint (pure section move or no-op)")
 	}
 
-	// Differential validation: all five matcher implementations must
-	// agree on every probe derived from the changed rules.
-	ms := matcherSet(next)
-	names := make([]string, 0, len(ms))
-	for name := range ms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	// Differential validation: the packed matcher must agree with the
+	// linear reference on every probe derived from the changed rules.
+	ref := psl.NewLinearMatcher(next)
+	probes := 0
 	for _, r := range append(append([]psl.Rule(nil), added...), removed...) {
 		for _, probe := range probesFor(r) {
-			ref := resultKey(ms[names[0]].Match(probe))
-			for _, name := range names[1:] {
-				if got := resultKey(ms[name].Match(probe)); got != ref {
-					findings = append(findings, fmt.Sprintf("matcher divergence on %q: %s=%s, %s=%s",
-						probe, names[0], ref, name, got))
-				}
+			probes++
+			want, got := resultKey(ref.Match(probe)), resultKey(nextM.Match(probe))
+			if got != want {
+				findings = append(findings, fmt.Sprintf("matcher divergence on %q: linear=%s, packed=%s",
+					probe, want, got))
 			}
 		}
 	}
@@ -757,7 +743,7 @@ func (p *Pipeline) runSemantic(old, next *psl.List, added, removed []psl.Rule) V
 		return p.verdict(StageSemantic, false, "semantic validation failed", findings)
 	}
 	return p.verdict(StageSemantic, true,
-		fmt.Sprintf("validated differentially across %d matchers", len(ms)), nil)
+		fmt.Sprintf("packed matcher agrees with the linear reference on %d probes", probes), nil)
 }
 
 // AuthOwner returns the DNS name whose _psl TXT record authorizes a
