@@ -55,7 +55,7 @@ bench-scaling:
 # criterion, plus the zero-alloc guard tests — the CI sanity gate.
 bench-sanity:
 	go test -run '^$$' -bench 'BenchmarkMatcherAblation|BenchmarkPackedCompile9k' -benchtime=1x ./internal/psl/
-	go test -run '^$$' -bench 'BenchmarkServeLookup|BenchmarkSweep' -benchtime=1x .
+	go test -run '^$$' -bench 'BenchmarkServeLookup|BenchmarkSweep|BenchmarkAblationIncremental|BenchmarkTable2MissingETLDs' -benchtime=1x .
 	go test -run '^$$' -bench 'BenchmarkPatchChain' -benchtime=1x ./internal/dist/
 	go test -run 'ZeroAlloc' -count=1 ./internal/psl/ ./internal/serve/ ./internal/obs/ ./internal/resilience/
 

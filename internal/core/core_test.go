@@ -27,6 +27,11 @@ func seqAt(t testing.TB, y int, m time.Month) int {
 	return seq
 }
 
+// fullSamples are the versions the from-scratch oracles recompute.
+func fullSamples(t testing.TB) []int {
+	return []int{0, 1, seqAt(t, 2010, 6), seqAt(t, 2012, 7), seqAt(t, 2016, 1), testHistory.Len() - 1}
+}
+
 // TestIncrementalMatchesFull proves the changepoint pipeline equals the
 // brute-force recomputation on sampled versions, for both the site
 // census (Fig 5) and the third-party classification (Fig 6).
@@ -34,8 +39,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 	sites := testPipeline.SitesSeries()
 	third := testPipeline.ThirdPartySeries()
 	pairs := testPipeline.PairsView()
-	samples := []int{0, 1, seqAt(t, 2010, 6), seqAt(t, 2012, 7), seqAt(t, 2016, 1), testHistory.Len() - 1}
-	for _, seq := range samples {
+	for _, seq := range fullSamples(t) {
 		l := testHistory.ListAt(seq)
 		wantSites, wantMean := SitesAtVersionFull(l, testSnapshot.Hosts)
 		if sites[seq].Sites != wantSites {
@@ -47,6 +51,67 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		if got, want := third[seq], ThirdPartyAtVersionFull(l, pairs); got != want {
 			t.Errorf("v%d: incremental third-party %d != full %d", seq, got, want)
 		}
+	}
+}
+
+// TestDivergenceMatchesFull proves Figure 7 against from-scratch
+// matching: at every sampled version, the divergence count is the
+// number of hosts whose site under that version differs from their
+// site under the latest one.
+func TestDivergenceMatchesFull(t *testing.T) {
+	div := testPipeline.DivergenceSeries()
+	latest := testHistory.Latest()
+	final := make([]string, len(testSnapshot.Hosts))
+	for i, h := range testSnapshot.Hosts {
+		final[i] = latest.SiteOrSelf(h)
+	}
+	for _, seq := range fullSamples(t) {
+		l := testHistory.ListAt(seq)
+		want := 0
+		for i, h := range testSnapshot.Hosts {
+			if l.SiteOrSelf(h) != final[i] {
+				want++
+			}
+		}
+		if div[seq] != want {
+			t.Errorf("v%d: incremental divergence %d != full %d", seq, div[seq], want)
+		}
+	}
+}
+
+// TestTable2CountsMatchPublicSuffix proves the per-suffix host counts
+// behind Tables 2 and 3, which the pipeline takes from the suffix-label
+// counts its build recorded, against matching every host under the
+// latest list.
+func TestTable2CountsMatchPublicSuffix(t *testing.T) {
+	latest := testHistory.Latest()
+	want := make(map[string]int)
+	for _, h := range testSnapshot.Hosts {
+		suffix, _, err := latest.PublicSuffix(h)
+		if err != nil {
+			t.Fatalf("host %q: %v", h, err)
+		}
+		want[suffix]++
+	}
+	got := testPipeline.hostsBySuffix()
+	if len(got) != len(want) {
+		t.Errorf("pipeline groups hosts under %d suffixes, full matching under %d", len(got), len(want))
+	}
+	for suffix, n := range want {
+		if got[suffix] != n {
+			t.Errorf("hosts under %s: pipeline %d, full matching %d", suffix, got[suffix], n)
+		}
+	}
+}
+
+// TestNewPipelineAllocsFlat guards the flat layout: building the
+// pipeline must not allocate per host.
+func TestNewPipelineAllocsFlat(t *testing.T) {
+	limit := float64(len(testSnapshot.Hosts) / 10)
+	allocs := testing.AllocsPerRun(2, func() { NewPipeline(testHistory, testSnapshot) })
+	if allocs >= limit {
+		t.Errorf("NewPipeline over %d hosts made %.0f allocations, want < %.0f",
+			len(testSnapshot.Hosts), allocs, limit)
 	}
 }
 

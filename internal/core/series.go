@@ -23,23 +23,37 @@ func (p *Pipeline) SitesSeries() []SitesPoint {
 	counts := make([]int32, len(p.siteNames))
 	distinct := 0
 
+	// Every step at version 0 is a host's first site; every later step is
+	// a site-change event. Bucket the events by version: those of
+	// version seq are events[first[seq]:first[seq+1]], in host order.
 	type change struct{ from, to int32 }
-	events := make(map[int][]change)
-	for _, a := range p.assignments {
-		counts[a.site[0]]++
-		if counts[a.site[0]] == 1 {
-			distinct++
+	first := make([]int32, n+1)
+	for j, seq := range p.seqs {
+		if seq == 0 {
+			counts[p.site[j]]++
+			if counts[p.site[j]] == 1 {
+				distinct++
+			}
+			continue
 		}
-		for k := 1; k < len(a.seqs); k++ {
-			seq := int(a.seqs[k])
-			events[seq] = append(events[seq], change{from: a.site[k-1], to: a.site[k]})
+		first[seq+1]++
+	}
+	for seq := 1; seq <= n; seq++ {
+		first[seq] += first[seq-1]
+	}
+	events := make([]change, first[n])
+	next := append([]int32(nil), first...)
+	for j, seq := range p.seqs {
+		if seq != 0 {
+			events[next[seq]] = change{from: p.site[j-1], to: p.site[j]}
+			next[seq]++
 		}
 	}
 
-	hosts := float64(len(p.assignments))
+	hosts := float64(p.hosts())
 	out := make([]SitesPoint, 0, n)
 	for seq := 0; seq < n; seq++ {
-		for _, c := range events[seq] {
+		for _, c := range events[first[seq]:first[seq+1]] {
 			counts[c.from]--
 			if counts[c.from] == 0 {
 				distinct--
@@ -61,28 +75,28 @@ func (p *Pipeline) ThirdPartySeries() []int64 {
 	n := p.H.Len()
 	diff := make([]int64, n+1)
 	for _, pair := range p.Snap.Pairs {
-		pa := p.assignments[pair.Page]
-		ra := p.assignments[pair.Req]
+		pSeqs, pSite := p.steps(int(pair.Page))
+		rSeqs, rSite := p.steps(int(pair.Req))
 		// Merge the two step functions, emitting intervals where the
 		// sites differ.
 		i, j := 0, 0
 		start := 0
 		for start < n {
 			// Current values and next boundaries.
-			for i+1 < len(pa.seqs) && int(pa.seqs[i+1]) <= start {
+			for i+1 < len(pSeqs) && int(pSeqs[i+1]) <= start {
 				i++
 			}
-			for j+1 < len(ra.seqs) && int(ra.seqs[j+1]) <= start {
+			for j+1 < len(rSeqs) && int(rSeqs[j+1]) <= start {
 				j++
 			}
 			end := n
-			if i+1 < len(pa.seqs) && int(pa.seqs[i+1]) < end {
-				end = int(pa.seqs[i+1])
+			if i+1 < len(pSeqs) && int(pSeqs[i+1]) < end {
+				end = int(pSeqs[i+1])
 			}
-			if j+1 < len(ra.seqs) && int(ra.seqs[j+1]) < end {
-				end = int(ra.seqs[j+1])
+			if j+1 < len(rSeqs) && int(rSeqs[j+1]) < end {
+				end = int(rSeqs[j+1])
 			}
-			if pa.site[i] != ra.site[j] {
+			if pSite[i] != rSite[j] {
 				diff[start] += int64(pair.Count)
 				diff[end] -= int64(pair.Count)
 			}
@@ -104,16 +118,17 @@ func (p *Pipeline) ThirdPartySeries() []int64 {
 func (p *Pipeline) DivergenceSeries() []int {
 	n := p.H.Len()
 	diff := make([]int, n+1)
-	for _, a := range p.assignments {
-		final := a.final()
-		for k := 0; k < len(a.seqs); k++ {
-			if a.site[k] == final {
+	for hi := 0; hi < p.hosts(); hi++ {
+		seqs, site := p.steps(hi)
+		final := site[len(site)-1]
+		for k := 0; k < len(seqs); k++ {
+			if site[k] == final {
 				continue
 			}
-			from := int(a.seqs[k])
+			from := int(seqs[k])
 			to := n
-			if k+1 < len(a.seqs) {
-				to = int(a.seqs[k+1])
+			if k+1 < len(seqs) {
+				to = int(seqs[k+1])
 			}
 			diff[from]++
 			diff[to]--
@@ -135,8 +150,9 @@ func (p *Pipeline) DivergenceSeries() []int {
 // size.
 func (p *Pipeline) SiteSizeDistribution(seq int) map[int]int {
 	counts := make(map[int32]int, len(p.siteNames))
-	for _, a := range p.assignments {
-		counts[a.at(seq)]++
+	for hi := 0; hi < p.hosts(); hi++ {
+		seqs, site := p.steps(hi)
+		counts[siteAtSeq(seqs, site, seq)]++
 	}
 	dist := make(map[int]int)
 	for _, n := range counts {
@@ -156,29 +172,29 @@ func (p *Pipeline) MisclassifiedFirstPartySeries() []int64 {
 	n := p.H.Len()
 	diff := make([]int64, n+1)
 	for _, pair := range p.Snap.Pairs {
-		pa := p.assignments[pair.Page]
-		ra := p.assignments[pair.Req]
-		if pa.final() == ra.final() {
+		pSeqs, pSite := p.steps(int(pair.Page))
+		rSeqs, rSite := p.steps(int(pair.Req))
+		if pSite[len(pSite)-1] == rSite[len(rSite)-1] {
 			// Same-site under the latest list: never "erroneous".
 			continue
 		}
 		i, j := 0, 0
 		start := 0
 		for start < n {
-			for i+1 < len(pa.seqs) && int(pa.seqs[i+1]) <= start {
+			for i+1 < len(pSeqs) && int(pSeqs[i+1]) <= start {
 				i++
 			}
-			for j+1 < len(ra.seqs) && int(ra.seqs[j+1]) <= start {
+			for j+1 < len(rSeqs) && int(rSeqs[j+1]) <= start {
 				j++
 			}
 			end := n
-			if i+1 < len(pa.seqs) && int(pa.seqs[i+1]) < end {
-				end = int(pa.seqs[i+1])
+			if i+1 < len(pSeqs) && int(pSeqs[i+1]) < end {
+				end = int(pSeqs[i+1])
 			}
-			if j+1 < len(ra.seqs) && int(ra.seqs[j+1]) < end {
-				end = int(ra.seqs[j+1])
+			if j+1 < len(rSeqs) && int(rSeqs[j+1]) < end {
+				end = int(rSeqs[j+1])
 			}
-			if pa.site[i] == ra.site[j] {
+			if pSite[i] == rSite[j] {
 				diff[start] += int64(pair.Count)
 				diff[end] -= int64(pair.Count)
 			}

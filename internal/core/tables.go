@@ -39,9 +39,7 @@ type Table2Result struct {
 
 // MissingETLDs computes Table 2 for a repository corpus.
 func (p *Pipeline) MissingETLDs(corpus []repos.Repository) Table2Result {
-	latest := p.H.Latest()
-	bySuffix := p.Snap.HostsBySuffix(latest)
-	spans := p.H.RuleSpans()
+	bySuffix := p.hostsBySuffix()
 
 	// Repo classes with known ages, as version sequence numbers.
 	var depSeqs, prodSeqs, testOtherSeqs, updSeqs []int
@@ -76,12 +74,10 @@ func (p *Pipeline) MissingETLDs(corpus []repos.Repository) Table2Result {
 		if hostnames == 0 {
 			continue
 		}
-		key, ok := ruleKeyForSuffix(spans, suffix)
+		addSeq, ok := p.addedSeq(suffix)
 		if !ok {
 			continue // implicit-rule suffix: no rule creates it
 		}
-		ss := spans[key]
-		addSeq := ss[0].From
 		if addSeq == 0 {
 			continue // present since the first version: never missing
 		}
@@ -127,20 +123,14 @@ type Table3Row struct {
 // and suffixes that belong to rules introduced strictly after that
 // version — the quantity a project carrying that version misclassifies.
 func (p *Pipeline) missingAfter() (hostsAfter, suffixesAfter []int) {
-	latest := p.H.Latest()
-	bySuffix := p.Snap.HostsBySuffix(latest)
-	spans := p.H.RuleSpans()
+	bySuffix := p.hostsBySuffix()
 	n := p.H.Len()
 
 	hostsAt := make([]int, n+1)
 	suffixesAt := make([]int, n+1)
 	for suffix, hostnames := range bySuffix {
-		key, ok := ruleKeyForSuffix(spans, suffix)
-		if !ok {
-			continue
-		}
-		addSeq := spans[key][0].From
-		if addSeq == 0 {
+		addSeq, ok := p.addedSeq(suffix)
+		if !ok || addSeq == 0 {
 			continue
 		}
 		hostsAt[addSeq] += hostnames
@@ -302,10 +292,9 @@ func (p *Pipeline) SuffixAgeOfHost(host string) int {
 	if err != nil {
 		return -1
 	}
-	spans := p.H.RuleSpans()
-	key, ok := ruleKeyForSuffix(spans, suffix)
+	addSeq, ok := p.addedSeq(suffix)
 	if !ok {
 		return -1
 	}
-	return p.H.AgeOfVersion(spans[key][0].From)
+	return p.H.AgeOfVersion(addSeq)
 }

@@ -536,11 +536,25 @@ func (h *History) GrowthSeries() []GrowthPoint {
 // materialising every version.
 func (h *History) RuleSpans() map[string][]Span {
 	events := h.state.Load().events
+	added := 0
+	for _, ev := range events {
+		added += len(ev.Added)
+	}
+	// Every key's first span is carved from one array, capped at its own
+	// element, so a rule added again later appends to a copy.
+	arena := make([]Span, 0, added)
 	spans := make(map[string][]Span, 10000)
 	for _, ev := range events {
 		for _, r := range ev.Added {
 			k := r.String()
-			spans[k] = append(spans[k], Span{From: ev.Seq, To: len(events)})
+			sp := Span{From: ev.Seq, To: len(events)}
+			if ss, ok := spans[k]; ok {
+				spans[k] = append(ss, sp)
+				continue
+			}
+			arena = append(arena, sp)
+			i := len(arena)
+			spans[k] = arena[i-1 : i : i]
 		}
 		for _, r := range ev.Removed {
 			k := r.String()

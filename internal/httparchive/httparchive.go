@@ -471,17 +471,3 @@ var brandSyllables = []string{
 	"kel", "lum", "mar", "nor", "ol", "pra", "qui", "ros", "sol", "tan",
 	"ur", "vel", "wex", "yor", "zan",
 }
-
-// HostsBySuffix counts the snapshot's hostnames grouped by public suffix
-// under the given list — the quantity Table 2 reports per eTLD.
-func (s *Snapshot) HostsBySuffix(l *psl.List) map[string]int {
-	out := make(map[string]int, 4096)
-	for _, h := range s.Hosts {
-		suffix, _, err := l.PublicSuffix(h)
-		if err != nil {
-			continue
-		}
-		out[suffix]++
-	}
-	return out
-}

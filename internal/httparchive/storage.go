@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"repro/internal/psl"
 )
 
 // snapshotMagic versions the on-disk format.
@@ -38,7 +40,11 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, cw.w.(*bufio.Writer).Flush()
 }
 
-// ReadSnapshot deserialises a snapshot written by WriteTo.
+// ReadSnapshot deserialises a snapshot written by WriteTo. It rejects a
+// snapshot with a host that is not canonical (psl.Normalize would change
+// or refuse it) or a pair that indexes past the host table, since the
+// measurement pipeline matches hosts as stored and indexes hosts by
+// pair.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var f snapshotFile
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&f); err != nil {
@@ -46,6 +52,17 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	if f.Magic != snapshotMagic {
 		return nil, fmt.Errorf("httparchive: bad snapshot magic %q", f.Magic)
+	}
+	for i, h := range f.Hosts {
+		if ascii, err := psl.Normalize(h); err != nil || ascii != h {
+			return nil, fmt.Errorf("httparchive: host %d %q is not canonical", i, h)
+		}
+	}
+	n := int32(len(f.Hosts))
+	for i, p := range f.Pairs {
+		if p.Page < 0 || p.Page >= n || p.Req < 0 || p.Req >= n {
+			return nil, fmt.Errorf("httparchive: pair %d (page %d, req %d) out of range for %d hosts", i, p.Page, p.Req, n)
+		}
 	}
 	s := &Snapshot{
 		Hosts:    f.Hosts,

@@ -47,3 +47,31 @@ func TestReadSnapshotRejectsGarbage(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 }
+
+// roundtrip writes a snapshot and reads it back.
+func roundtrip(s *Snapshot) (*Snapshot, error) {
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		return nil, err
+	}
+	return ReadSnapshot(&buf)
+}
+
+func TestReadSnapshotRejectsNonCanonicalHost(t *testing.T) {
+	for _, h := range []string{"Shop.Example.com", "b\u00fccher.example", "", "192.0.2.1", "a..b"} {
+		s := &Snapshot{Hosts: []string{"a.example.com", h}, Date: SnapshotDate}
+		if _, err := roundtrip(s); err == nil || !strings.Contains(err.Error(), "not canonical") {
+			t.Errorf("host %q: err = %v, want a not-canonical rejection", h, err)
+		}
+	}
+}
+
+func TestReadSnapshotRejectsOutOfRangePair(t *testing.T) {
+	hosts := []string{"a.example.com", "b.example.net"}
+	for _, p := range []Pair{{Page: 0, Req: 2, Count: 1}, {Page: -1, Req: 1, Count: 1}} {
+		s := &Snapshot{Hosts: hosts, Pairs: []Pair{{Page: 0, Req: 1, Count: 1}, p}, Date: SnapshotDate}
+		if _, err := roundtrip(s); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("pair %+v: err = %v, want an out-of-range rejection", p, err)
+		}
+	}
+}
