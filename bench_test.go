@@ -12,14 +12,18 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/dnssim"
 	"repro/internal/experiments"
 	"repro/internal/history"
+	"repro/internal/httparchive"
 	"repro/internal/iana"
 	"repro/internal/obs"
 	"repro/internal/repos"
 	"repro/internal/serve"
 	"repro/internal/serve/loadgen"
 	"repro/internal/staleness"
+	"repro/internal/submit"
 )
 
 // benchEnv is shared across benchmarks; generation cost is paid once,
@@ -310,6 +314,52 @@ func BenchmarkServeLookupParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// --- write path -------------------------------------------------------
+
+// BenchmarkSubmitPublish measures one accepted submission end to end
+// through the pipeline: lint, semantic, authorization, risk against the
+// scale-0.05 population, and the origin publish, over the full history.
+// Each iteration adds a fresh, authorised private rule under "com".
+func BenchmarkSubmitPublish(b *testing.B) {
+	h := history.Generate(history.Config{Seed: history.DefaultSeed})
+	o := dist.NewOrigin(h)
+	zone := dnssim.NewZone()
+	pop := httparchive.Generate(httparchive.Config{Seed: history.DefaultSeed, Scale: 0.05}, h)
+	p, err := submit.New(o, submit.Config{Resolver: zone, Population: pop})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rule := "bench-publish-" + strconv.Itoa(i) + ".com"
+		req := submit.Request{Changes: []submit.Change{{Op: "add", Rule: rule, Section: "private"}}}
+		zone.AddTXT("_psl."+rule, submit.ComputeID(req))
+		s, err := p.Submit(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.State != submit.StatePublished {
+			b.Fatalf("%s ended %s at stage %q", rule, s.State, s.RejectedStage)
+		}
+	}
+}
+
+// BenchmarkListFingerprint measures the canonical sort and hash behind
+// List.Fingerprint on the generated head. Each iteration fingerprints a
+// fresh copy, so the per-list memo does not hide the sort.
+func BenchmarkListFingerprint(b *testing.B) {
+	head := history.Generate(history.Config{Seed: history.DefaultSeed}).Latest()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l := head.Clone()
+		b.StartTimer()
+		l.Fingerprint()
+	}
 }
 
 // --- ablations (DESIGN.md section 5) ---------------------------------

@@ -84,6 +84,15 @@ func (c *Chain) PreviewFingerprint(added, removed []psl.Rule) string {
 	return psl.FingerprintOfSorted(rules)
 }
 
+// tipHas reports whether the tip rule set holds r's canonical key. Like
+// psl.List.Contains, identity ignores Section.
+func (c *Chain) tipHas(r psl.Rule) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := find(c.live, r)
+	return ok
+}
+
 // Patch builds the delta taking version from to version to (from < to)
 // by folding the events in (from, to] into one net add/remove set. A
 // key touched multiple times collapses to its final operation; a rule

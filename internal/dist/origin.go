@@ -173,16 +173,15 @@ func (o *Origin) Publish(date time.Time, added, removed []psl.Rule) (Manifest, e
 	if len(added) == 0 && len(removed) == 0 {
 		return Manifest{}, fmt.Errorf("dist: publish: empty delta")
 	}
-	tip := o.h.Latest()
 	removedKeys := make(map[string]bool, len(removed))
 	for _, r := range removed {
-		if !tip.Contains(r) {
+		if !o.chain.tipHas(r) {
 			return Manifest{}, fmt.Errorf("dist: publish: removed rule %q not present at head", r.String())
 		}
 		removedKeys[r.String()] = true
 	}
 	for _, r := range added {
-		if tip.Contains(r) && !removedKeys[r.String()] {
+		if o.chain.tipHas(r) && !removedKeys[r.String()] {
 			return Manifest{}, fmt.Errorf("dist: publish: added rule %q already present at head", r.String())
 		}
 	}

@@ -179,7 +179,9 @@ func LastLabels(name string, n int) string {
 
 // Reverse returns the labels in reversed order joined by dots:
 // Reverse("www.example.com") is "com.example.www". Reversed names sort
-// hierarchically, which the measurement pipeline uses for grouping.
+// hierarchically: strings.Compare over them defines the canonical rule
+// order, which psl.CompareRules computes without building them, and the
+// psl tests use Reverse as that order's oracle.
 func Reverse(name string) string {
 	labels := Labels(name)
 	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {

@@ -30,6 +30,9 @@ type List struct {
 	// lazily compiled matcher; see (*List).Matcher.
 	matcherOnce sync.Once
 	matcher     *PackedMatcher
+	// lazily computed rule-set fingerprint; see (*List).Fingerprint.
+	fpOnce sync.Once
+	fp     string
 
 	// Date is the publication date of this version (commit date in the
 	// upstream repository).
@@ -236,12 +239,16 @@ func (l *List) Serialize() string {
 // Fingerprint returns the SHA-256 of the canonical serialization of the
 // rule set only (metadata excluded), hex-encoded. Two lists with the same
 // rules fingerprint identically regardless of date or version labels;
-// the scanner uses this for exact version identification.
+// the scanner uses this for exact version identification. The rules
+// are immutable, so it is computed once per list and memoised.
 func (l *List) Fingerprint() string {
-	rules := make([]Rule, len(l.rules))
-	copy(rules, l.rules)
-	sort.Slice(rules, func(i, j int) bool { return compareRules(rules[i], rules[j]) < 0 })
-	return FingerprintOfSorted(rules)
+	l.fpOnce.Do(func() {
+		rules := make([]Rule, len(l.rules))
+		copy(rules, l.rules)
+		sort.Slice(rules, func(i, j int) bool { return compareRules(rules[i], rules[j]) < 0 })
+		l.fp = FingerprintOfSorted(rules)
+	})
+	return l.fp
 }
 
 // FingerprintOfSorted computes the same fingerprint as (*List).Fingerprint

@@ -185,12 +185,8 @@ func CompareRules(a, b Rule) int { return compareRules(a, b) }
 // order), with plain rules before wildcards before exceptions at the same
 // suffix. Used for deterministic serialization and diffing.
 func compareRules(a, b Rule) int {
-	ra, rb := domain.Reverse(a.Suffix), domain.Reverse(b.Suffix)
-	if ra != rb {
-		if ra < rb {
-			return -1
-		}
-		return 1
+	if c := compareReversed(a.Suffix, b.Suffix); c != 0 {
+		return c
 	}
 	rank := func(r Rule) int {
 		switch {
@@ -203,4 +199,42 @@ func compareRules(a, b Rule) int {
 		}
 	}
 	return rank(a) - rank(b)
+}
+
+// compareReversed returns the sign of
+// strings.Compare(domain.Reverse(a), domain.Reverse(b)) without building
+// either reversed string: it walks both names label by label from the
+// right. After a label, the reversed string continues with '.' when
+// more labels follow and ends otherwise, so when one label is a proper
+// prefix of the other the shorter side's next byte is '.' or the end
+// (which sorts below every byte); a label byte is never '.'.
+func compareReversed(a, b string) int {
+	for {
+		i, j := strings.LastIndexByte(a, '.'), strings.LastIndexByte(b, '.')
+		x, y := a[i+1:], b[j+1:]
+		if x != y {
+			switch {
+			case strings.HasPrefix(y, x):
+				if i < 0 || '.' < y[len(x)] {
+					return -1
+				}
+				return 1
+			case strings.HasPrefix(x, y):
+				if j < 0 || '.' < x[len(y)] {
+					return 1
+				}
+				return -1
+			}
+			return strings.Compare(x, y)
+		}
+		switch {
+		case i < 0 && j < 0:
+			return 0
+		case i < 0:
+			return -1
+		case j < 0:
+			return 1
+		}
+		a, b = a[:i], b[:j]
+	}
 }

@@ -173,7 +173,8 @@ type Config struct {
 	// Resolver answers _psl TXT queries. Required.
 	Resolver dnssim.Resolver
 	// Population, when set, sizes the risk stage against the simulated
-	// web. When nil the stage probes synthetic names under the changed
+	// web. New normalises its hosts once; they must not change after.
+	// When nil the stage probes synthetic names under the changed
 	// suffixes only.
 	Population *httparchive.Snapshot
 	// MaxFlipFraction is the largest fraction of the population whose
@@ -221,6 +222,19 @@ type Pipeline struct {
 	// interleave validation against a moving tip (Origin.Publish
 	// re-validates regardless; this keeps verdicts honest).
 	processMu sync.Mutex
+	// last is the list at history seq lastSeq: the list the previous
+	// publish built as next, its packed matcher already compiled. It is
+	// the next run's head while nothing else has appended to the
+	// history. Keyed on the seq, not the fingerprint: another writer's
+	// add-then-remove returns to the same fingerprint at a later seq.
+	// Guarded by processMu.
+	last    *psl.List
+	lastSeq int
+
+	// hosts is Config.Population.Hosts normalised once (psl.Normalize),
+	// index for index; "" marks a host that does not normalise, which
+	// maps to itself under every list and so never flips.
+	hosts []string
 
 	// fsys backs StateDir persistence: Config.FS (or the real OS)
 	// wrapped with the "submit.persist.*" failpoint sites.
@@ -261,6 +275,14 @@ func New(origin *dist.Origin, cfg Config) (*Pipeline, error) {
 		cfg:    cfg,
 		subs:   make(map[string]*Submission),
 		fsys:   storeFS(cfg.FS),
+	}
+	if cfg.Population != nil {
+		p.hosts = make([]string, len(cfg.Population.Hosts))
+		for i, h := range cfg.Population.Hosts {
+			if ascii, err := psl.Normalize(h); err == nil {
+				p.hosts[i] = ascii
+			}
+		}
 	}
 	if cfg.StateDir != "" {
 		if err := p.load(); err != nil {
@@ -401,7 +423,7 @@ func (p *Pipeline) Process(id string) (*Submission, error) {
 	p.persistLocked(s)
 	p.mu.Unlock()
 
-	old := p.origin.History().Latest()
+	old := p.head()
 
 	reject := func(v Verdict) (*Submission, error) {
 		p.recordVerdict(id, v)
@@ -409,12 +431,11 @@ func (p *Pipeline) Process(id string) (*Submission, error) {
 	}
 
 	// Stage 1: lint.
-	added, removed, v := p.runLint(req, old)
+	added, removed, next, v := p.runLint(req, old)
 	p.recordVerdict(id, v)
 	if !v.Passed {
 		return p.finish(id, StateRejected, StageLint)
 	}
-	next := old.WithoutRules(removed...).WithRules(added...)
 
 	// Stage 2: semantic validation (packed matcher vs linear reference).
 	if v = p.runSemantic(old, next, added, removed); !v.Passed {
@@ -448,6 +469,7 @@ func (p *Pipeline) Process(id string) (*Submission, error) {
 	p.recordVerdict(id, p.verdict(StagePublish, true,
 		fmt.Sprintf("published as seq %d (%s)", m.Seq, m.Version), nil))
 	p.published.Add(1)
+	p.last, p.lastSeq = next, m.Seq
 
 	p.mu.Lock()
 	s = p.subs[id]
@@ -463,6 +485,17 @@ func (p *Pipeline) Process(id string) (*Submission, error) {
 		p.cfg.OnPublish(m, p.origin.History().ListAt(m.Seq))
 	}
 	return out, nil
+}
+
+// head returns the list at the origin's history tip, reusing the list
+// the last publish built when no other writer has appended since.
+// Caller holds processMu.
+func (p *Pipeline) head() *psl.List {
+	h := p.origin.History()
+	if seq := h.Len() - 1; p.last == nil || seq != p.lastSeq {
+		p.last, p.lastSeq = h.ListAt(seq), seq
+	}
+	return p.last
 }
 
 // verdict builds a stamped verdict and bumps the stage counters.
@@ -552,8 +585,9 @@ func parseChange(c Change) (rule psl.Rule, isAdd bool, err error) {
 // runLint grades the submission's surface form: every change must
 // parse, no change may repeat, removals must name present rules and
 // additions absent ones, and the resulting list must stay lint-clean
-// for every finding attributable to a changed rule.
-func (p *Pipeline) runLint(req Request, old *psl.List) (added, removed []psl.Rule, v Verdict) {
+// for every finding attributable to a changed rule. On success it also
+// returns the would-be list it linted.
+func (p *Pipeline) runLint(req Request, old *psl.List) (added, removed []psl.Rule, next *psl.List, v Verdict) {
 	var findings []string
 	type parsed struct {
 		idx   int
@@ -611,17 +645,17 @@ func (p *Pipeline) runLint(req Request, old *psl.List) (added, removed []psl.Rul
 		}
 	}
 	if len(findings) > 0 {
-		return nil, nil, p.verdict(StageLint, false,
+		return nil, nil, nil, p.verdict(StageLint, false,
 			fmt.Sprintf("%d change(s) failed lint", len(findings)), findings)
 	}
 
 	// Lint the would-be list; only findings attributable to the changed
 	// rules count against the submission (pre-existing list warts must
 	// not block an innocent change).
-	next := old.WithoutRules(removed...).WithRules(added...)
+	next = old.WithoutRules(removed...).WithRules(added...)
 	fs, err := psl.LintString(next.Serialize())
 	if err != nil {
-		return nil, nil, p.verdict(StageLint, false, "lint failed to run: "+err.Error(), nil)
+		return nil, nil, nil, p.verdict(StageLint, false, "lint failed to run: "+err.Error(), nil)
 	}
 	for _, f := range fs {
 		if f.Severity >= psl.SeverityWarning && changedKeys[f.Rule] {
@@ -629,10 +663,10 @@ func (p *Pipeline) runLint(req Request, old *psl.List) (added, removed []psl.Rul
 		}
 	}
 	if len(findings) > 0 {
-		return nil, nil, p.verdict(StageLint, false,
+		return nil, nil, nil, p.verdict(StageLint, false,
 			"resulting list has lint findings on changed rules", findings)
 	}
-	return added, removed, p.verdict(StageLint, true,
+	return added, removed, next, p.verdict(StageLint, true,
 		fmt.Sprintf("%d addition(s), %d removal(s) lint clean", len(added), len(removed)), nil)
 }
 
@@ -719,8 +753,11 @@ func (p *Pipeline) runSemantic(old, next *psl.List, added, removed []psl.Rule) V
 
 	// The delta must change the rule-set fingerprint — fingerprints
 	// ignore Section, so a pure section move is invisible to the
-	// manifest ETag and would stall every conditional poller.
-	if old.Fingerprint() == next.Fingerprint() {
+	// manifest ETag and would stall every conditional poller. The
+	// origin's chain answers it the way Origin.Publish does, from its
+	// live sorted tip set, so the two refusals cannot disagree.
+	chain := p.origin.Chain()
+	if chain.Fingerprint(chain.Len()-1) == chain.PreviewFingerprint(added, removed) {
 		findings = append(findings, "delta does not change the rule-set fingerprint (pure section move or no-op)")
 	}
 
@@ -812,13 +849,23 @@ func (p *Pipeline) runAuthorization(id string, added, removed []psl.Rule) Verdic
 // runRisk replays the harm pipeline on a sandbox old-vs-new compile:
 // for every hostname in the population, does its registrable domain
 // (and with it every cached cookie scope) flip if this delta deploys?
+//
+// A host's Match answer depends only on the rules whose suffix is a
+// domain suffix of the host, so only hosts under a changed rule's
+// suffix (plain, wildcard base or exception, added or removed) can
+// flip. Those are the only hosts scored; the report equals a full
+// population scan's.
 func (p *Pipeline) runRisk(old, next *psl.List, added, removed []psl.Rule) (*RiskReport, Verdict) {
 	r := &RiskReport{
 		MaxFlipFraction: p.cfg.MaxFlipFraction,
 	}
+	changed := append(append([]psl.Rule(nil), added...), removed...)
 	if p.cfg.Population != nil {
 		r.Population = len(p.cfg.Population.Hosts)
-		for _, h := range p.cfg.Population.Hosts {
+		for i, h := range p.cfg.Population.Hosts {
+			if !underAny(p.hosts[i], changed) {
+				continue
+			}
 			os, ns := old.SiteOrSelf(h), next.SiteOrSelf(h)
 			if os == ns {
 				continue
@@ -841,7 +888,7 @@ func (p *Pipeline) runRisk(old, next *psl.List, added, removed []psl.Rule) (*Ris
 	// direction even when nobody in the population lives there. They
 	// size nothing — a change affecting only its own subtree is exactly
 	// the low-risk case — so they feed the sample list, not the gate.
-	for _, rule := range append(append([]psl.Rule(nil), added...), removed...) {
+	for _, rule := range changed {
 		for _, h := range probesFor(rule) {
 			os, ns := old.SiteOrSelf(h), next.SiteOrSelf(h)
 			if os == ns || len(r.SampleFlips) >= p.cfg.MaxSampleFlips {
@@ -858,6 +905,18 @@ func (p *Pipeline) runRisk(old, next *psl.List, added, removed []psl.Rule) (*Ris
 			r.SampleFlips)
 	}
 	return r, p.verdict(StageRisk, true, detail, nil)
+}
+
+// underAny reports whether the normalised host sits at or below any of
+// the rules' suffixes. The empty host (one that failed normalisation)
+// sits under none, since no rule has an empty suffix.
+func underAny(host string, rules []psl.Rule) bool {
+	for _, r := range rules {
+		if domain.HasSuffix(host, r.Suffix) {
+			return true
+		}
+	}
+	return false
 }
 
 // parentSuffix strips the first label; mirrors lint's parentOf.
