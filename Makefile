@@ -11,12 +11,13 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/psl/ ./internal/serve/ ./internal/obs/ ./internal/experiments/ ./internal/dist/ ./internal/resilience/ ./internal/chaos/ ./internal/fleet/
+	go test -race ./internal/psl/ ./internal/serve/ ./internal/obs/ ./internal/experiments/ ./internal/dist/ ./internal/resilience/ ./internal/failpoint/ ./internal/fleet/
 
-# The full chaos replay: origin -> faulting proxy -> replica, six fault
-# classes, crash-restart, goroutine-leak assertion. Runs under -race.
+# The full chaos replay: origin behind a failpoint HTTP site -> replica,
+# one phase per HTTP action, crash-restart, goroutine-leak assertion.
+# Runs under -race.
 chaos:
-	go test -race -count=1 -v -run 'TestChaosE2EReplication' ./internal/chaos/
+	go test -race -count=1 -v -run 'TestChaosE2EReplication' ./internal/dist/
 
 # The CI fleet smoke: a seeded 200-edge, 2-tier run vs its single-tier
 # baseline under -race; fails unless both converge with zero unverified
@@ -55,9 +56,9 @@ bench-scaling:
 # criterion, plus the zero-alloc guard tests — the CI sanity gate.
 bench-sanity:
 	go test -run '^$$' -bench 'BenchmarkMatcherAblation|BenchmarkPackedCompile9k' -benchtime=1x ./internal/psl/
-	go test -run '^$$' -bench 'BenchmarkServeLookup|BenchmarkSweep|BenchmarkAblationIncremental|BenchmarkTable2MissingETLDs|BenchmarkSubmitPublish|BenchmarkListFingerprint' -benchtime=1x .
+	go test -run '^$$' -bench 'BenchmarkServeLookup|BenchmarkAblationIncremental|BenchmarkTable2MissingETLDs|BenchmarkSubmitPublish|BenchmarkListFingerprint' -benchtime=1x .
 	go test -run '^$$' -bench 'BenchmarkPatchChain' -benchtime=1x ./internal/dist/
-	go test -run 'ZeroAlloc' -count=1 ./internal/psl/ ./internal/serve/ ./internal/obs/ ./internal/resilience/
+	go test -run 'ZeroAlloc' -count=1 ./internal/psl/ ./internal/serve/ ./internal/obs/ ./internal/resilience/ ./internal/failpoint/
 
 # Scrape a locally running pslserver and lint the exposition.
 metrics-lint:

@@ -160,43 +160,6 @@ func BenchmarkHarmByCategory(b *testing.B) {
 	}
 }
 
-// --- parallel per-version sweep --------------------------------------
-
-// benchSweepSeqs spreads n version sequences evenly over the history.
-func benchSweepSeqs(e *experiments.Env, n int) []int {
-	seqs := make([]int, n)
-	for i := range seqs {
-		seqs[i] = i * (e.H.Len() - 1) / (n - 1)
-	}
-	return seqs
-}
-
-// BenchmarkSweepSerial recomputes the Figure 5/6/7 samples for 32
-// versions on one worker over pre-compiled packed matchers — the serial
-// baseline of the parallel-sweep acceptance criterion.
-func BenchmarkSweepSerial(b *testing.B) {
-	e := env(b)
-	seqs := benchSweepSeqs(e, 32)
-	e.Sweep(seqs, 1) // warm the compile cache; both variants time matching only
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Sweep(seqs, 1)
-	}
-}
-
-// BenchmarkSweepParallel is the same recomputation fanned across
-// GOMAXPROCS workers; the acceptance bar is >= 2x over the serial run
-// at GOMAXPROCS >= 4.
-func BenchmarkSweepParallel(b *testing.B) {
-	e := env(b)
-	seqs := benchSweepSeqs(e, 32)
-	e.Sweep(seqs, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Sweep(seqs, 0)
-	}
-}
-
 // BenchmarkStalenessCompareParallel is the Monte Carlo fanned across
 // policies (bit-identical results to BenchmarkStalenessCompare's body).
 func BenchmarkStalenessCompareParallel(b *testing.B) {

@@ -1,8 +1,7 @@
 // pslbench emits the repository's machine-readable performance
 // baseline: ns/op and allocs/op for the packed matcher and the linear
 // reference over the standard 9k-rule ablation list, the packed compile
-// and blob costs, the serial-vs-parallel per-version sweep, and the batched
-// lookup scaling matrix (GOMAXPROCS 1/2/4/8, /v1/batch vs single
+// and blob costs, and the batched lookup scaling matrix (GOMAXPROCS 1/2/4/8, /v1/batch vs single
 // lookups, in-process and over HTTP). Results are written as JSON
 // (default BENCH_matchers.json) so successive runs can be diffed to
 // track the perf trajectory.
@@ -10,7 +9,7 @@
 //	go run ./cmd/pslbench -out BENCH_matchers.json
 //
 // The measurements mirror the benchmarks in internal/psl and
-// bench_test.go (same list shape, same name mix, same sweep size), just
+// bench_test.go (same list shape, same name mix), just
 // run through testing.Benchmark so a single command produces one
 // comparable artefact.
 //
@@ -39,7 +38,6 @@ import (
 	"testing"
 
 	"repro/internal/dist"
-	"repro/internal/experiments"
 	"repro/internal/history"
 	"repro/internal/psl"
 	"repro/internal/serve"
@@ -72,22 +70,6 @@ type matcherResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// sweepResult compares the serial and parallel per-version sweeps.
-// Speedup alone is misleading on small hosts — a GOMAXPROCS=1 run
-// reports ~1x and says nothing about scaling — so the row also carries
-// per_core_efficiency (speedup / workers) and an explicit
-// "scaling": "unmeasured" marker whenever the worker count cannot
-// demonstrate parallelism on this host.
-type sweepResult struct {
-	Versions          int     `json:"versions"`
-	Workers           int     `json:"workers"`
-	SerialNsPerOp     float64 `json:"serial_ns_per_op"`
-	ParallelNsPerOp   float64 `json:"parallel_ns_per_op"`
-	Speedup           float64 `json:"speedup"`
-	PerCoreEfficiency float64 `json:"per_core_efficiency"`
-	Scaling           string  `json:"scaling,omitempty"`
 }
 
 // distResult is the delta-distribution ablation: cumulative patch
@@ -253,7 +235,6 @@ type output struct {
 	PackedCompileNsOp float64                  `json:"packed_compile_ns_per_op"`
 	PackedBlobBytes   int                      `json:"packed_blob_bytes"`
 	PackedTableBytes  int                      `json:"packed_table_bytes"`
-	Sweep             *sweepResult             `json:"sweep,omitempty"`
 	Dist              *distResult              `json:"dist,omitempty"`
 	Scaling           *scalingResult           `json:"scaling,omitempty"`
 	Notes             []string                 `json:"notes,omitempty"`
@@ -279,63 +260,16 @@ func measure(m psl.Matcher) matcherResult {
 	}
 }
 
-// sweepSeqs spreads n version sequences evenly over the history, like
-// bench_test.go's benchSweepSeqs.
-func sweepSeqs(e *experiments.Env, n int) []int {
-	seqs := make([]int, n)
-	for i := range seqs {
-		seqs[i] = i * (e.H.Len() - 1) / (n - 1)
-	}
-	return seqs
-}
-
-// measureSweep times the Figure 5/6/7 recomputation sweep serially and
-// across GOMAXPROCS workers, over a warmed compile cache.
-func measureSweep(scale float64, versions int) sweepResult {
-	e := experiments.New(history.DefaultSeed, scale)
-	seqs := sweepSeqs(e, versions)
-	e.Sweep(seqs, 1) // warm the compile cache; both runs time matching only
-	serial := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.Sweep(seqs, 1)
-		}
-	})
-	parallel := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e.Sweep(seqs, 0)
-		}
-	})
-	s := sweepResult{
-		Versions:        versions,
-		Workers:         runtime.GOMAXPROCS(0),
-		SerialNsPerOp:   float64(serial.T.Nanoseconds()) / float64(serial.N),
-		ParallelNsPerOp: float64(parallel.T.Nanoseconds()) / float64(parallel.N),
-	}
-	if s.ParallelNsPerOp > 0 {
-		s.Speedup = s.SerialNsPerOp / s.ParallelNsPerOp
-		s.PerCoreEfficiency = s.Speedup / float64(s.Workers)
-	}
-	if s.Workers <= 1 || s.Workers > runtime.NumCPU() {
-		s.Scaling = "unmeasured"
-	}
-	return s
-}
-
 // benchConfig selects which sections a run collects.
 type benchConfig struct {
 	rules     int
-	scale     float64
-	versions  int
 	batchSize int
-	withSweep bool
-	quick     bool // matrix at GOMAXPROCS=1 only, skip sweep and dist
+	quick     bool // matrix at GOMAXPROCS=1 only, skip dist
 }
 
 // collect produces the full document.
 func collect(cfg benchConfig) output {
-	rules, scale, versions := cfg.rules, cfg.scale, cfg.versions
-	withSweep := cfg.withSweep && !cfg.quick
-	l := benchRules(rules)
+	l := benchRules(cfg.rules)
 	out := output{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -357,22 +291,6 @@ func collect(cfg benchConfig) output {
 	if !cfg.quick {
 		ds := dist.ComputeChainStats(history.Generate(history.Config{Seed: history.DefaultSeed}))
 		out.Dist = &distResult{ChainStats: ds, FullOverPatchRatio: ds.Ratio()}
-	}
-	if withSweep {
-		s := measureSweep(scale, versions)
-		out.Sweep = &s
-		if out.GOMAXPROCS < 4 {
-			out.Notes = append(out.Notes,
-				fmt.Sprintf("parallel-sweep speedup measured at GOMAXPROCS=%d; the >=2x acceptance bar applies at GOMAXPROCS>=4", out.GOMAXPROCS))
-		}
-		if out.GOMAXPROCS > out.NumCPU {
-			out.Notes = append(out.Notes,
-				fmt.Sprintf("GOMAXPROCS=%d oversubscribes the host's %d CPU(s); parallel speedup ~1x is expected", out.GOMAXPROCS, out.NumCPU))
-		}
-		if s.Scaling == "unmeasured" {
-			out.Notes = append(out.Notes,
-				fmt.Sprintf("sweep ran with %d worker(s) on %d CPU(s): speedup %.2f is not a scaling measurement; see the scaling matrix", s.Workers, out.NumCPU, s.Speedup))
-		}
 	}
 	procs := []int{1, 2, 4, 8}
 	if cfg.quick {
@@ -414,11 +332,8 @@ func check(doc output) error {
 func main() {
 	outPath := flag.String("out", "BENCH_matchers.json", "output JSON path ('-' for stdout)")
 	rules := flag.Int("rules", 9000, "benchmark list size")
-	scale := flag.Float64("scale", 0.2, "snapshot scale for the sweep benchmark")
-	versions := flag.Int("versions", 32, "versions per sweep")
 	batchSize := flag.Int("batch-size", 256, "rows per batch in the scaling matrix")
-	noSweep := flag.Bool("no-sweep", false, "skip the per-version sweep benchmark")
-	quick := flag.Bool("quick", false, "reduced run for CI: scaling matrix at GOMAXPROCS=1 only, no sweep or dist stats")
+	quick := flag.Bool("quick", false, "reduced run for CI: scaling matrix at GOMAXPROCS=1 only, no dist stats")
 	doCheck := flag.Bool("check", false, "exit nonzero when a perf acceptance bar is violated")
 	flag.Parse()
 	if *batchSize < 1 {
@@ -428,10 +343,7 @@ func main() {
 
 	doc := collect(benchConfig{
 		rules:     *rules,
-		scale:     *scale,
-		versions:  *versions,
 		batchSize: *batchSize,
-		withSweep: !*noSweep,
 		quick:     *quick,
 	})
 	data, err := json.MarshalIndent(doc, "", "  ")

@@ -29,7 +29,7 @@ func TestOutputEncodes(t *testing.T) {
 		GOMAXPROCS: 1,
 		Rules:      3,
 		Matchers:   map[string]matcherResult{"packed": {NsPerOp: 17.5}},
-		Sweep:      &sweepResult{Versions: 32, Workers: 1, SerialNsPerOp: 2, ParallelNsPerOp: 1, Speedup: 2},
+		Scaling:    &scalingResult{HTTPBatchAdvantage: 2},
 	}
 	data, err := json.Marshal(doc)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestOutputEncodes(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Matchers["packed"].NsPerOp != 17.5 || back.Sweep.Speedup != 2 {
+	if back.Matchers["packed"].NsPerOp != 17.5 || back.Scaling.HTTPBatchAdvantage != 2 {
 		t.Fatalf("round-trip mangled the document: %+v", back)
 	}
 }

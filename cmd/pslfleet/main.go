@@ -2,8 +2,9 @@
 // internal/fleet and emits its JSON report on stdout: an origin
 // publishing snapshot deltas, an optional relay tier re-serving and
 // compacting them, and up to thousands of edge replicas polling with
-// skewed jitter while churn and chaos-proxy faults run at the
-// configured tiers. Everything derives from -seed, so a run is
+// skewed jitter while churn and network faults run at the configured
+// tiers. Everything derives from -seed, and every fault from one
+// failpoint spec the report echoes as fault_spec, so a run is
 // replayable.
 //
 // With -compare it runs the configured topology AND its single-tier
@@ -11,7 +12,8 @@
 // the origin-egress ratio — the number the relay tier exists to shrink.
 // With -check the exit status becomes a verdict: non-zero unless the
 // fleet converged with zero unverified swaps (and, under -compare,
-// strictly lower origin egress than the naive topology).
+// strictly lower origin egress than the naive topology), and a failed
+// verdict names the `seed=N spec="..."` recipe that re-arms its faults.
 //
 // Flags mirror fleet.Config:
 //
@@ -28,13 +30,16 @@
 //	-poll-skew F         lognormal sigma of per-edge intervals (default 0.5)
 //	-churn F             fraction of edges killed mid-run (default 0)
 //	-rejoin-delay D      victim replacement delay (default duration/8)
-//	-chaos-rate F        fault-injection rate on -chaos-tiers (default 0)
+//	-chaos-rate F        fault rate on -chaos-tiers, shared by all six
+//	                     HTTP actions of the fleet.origin / fleet.relay
+//	                     failpoint sites (default 0)
 //	-chaos-tiers LIST    comma-separated: origin,relay (default none)
 //	-max-hop N           max patch span per hop (default 16)
 //	-sample-every D      lag sampler cadence (default duration/10)
 //	-converge-timeout D  post-run convergence window (default 30s)
-//	-failpoints SPEC     err-mode storage-fault spec armed for the run
-//	                     (e.g. 'dist.state.sync=err(0.4,errno=EIO)')
+//	-failpoints SPEC     failpoint spec armed for the run: err-mode storage
+//	                     faults (e.g. 'dist.state.sync=err(0.4,errno=EIO)')
+//	                     or HTTP actions on fleet.origin / fleet.relay
 //	-edge-state          give every edge an in-memory state dir so the
 //	                     dist.state.* sites fire under churn
 //	-compare             also run the single-tier baseline
@@ -89,7 +94,7 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.fleet.MaxHop, "max-hop", 0, "max patch span per hop (0 = default 16)")
 	fs.DurationVar(&cfg.fleet.SampleEvery, "sample-every", 0, "lag sampler cadence (0 = duration/10)")
 	fs.DurationVar(&cfg.fleet.ConvergeTimeout, "converge-timeout", 0, "post-run convergence window (0 = default 30s)")
-	fs.StringVar(&cfg.fleet.Failpoints, "failpoints", "", "err-mode storage-fault spec armed for the run")
+	fs.StringVar(&cfg.fleet.Failpoints, "failpoints", "", "failpoint spec armed for the run (err-mode storage faults, HTTP actions on fleet.origin/fleet.relay)")
 	fs.BoolVar(&cfg.fleet.EdgeState, "edge-state", false, "give every edge an in-memory state dir (fires dist.state.* sites)")
 	fs.BoolVar(&cfg.compare, "compare", false, "also run the single-tier baseline with the same seed")
 	fs.BoolVar(&cfg.check, "check", false, "exit non-zero unless the run passes its invariants")
@@ -146,14 +151,16 @@ func parseFlags(args []string) (config, error) {
 	if cfg.fleet.ChaosRate > 0 && len(cfg.fleet.ChaosTiers) == 0 {
 		return config{}, fmt.Errorf("-chaos-rate %v without -chaos-tiers faults nothing", cfg.fleet.ChaosRate)
 	}
-	if cfg.fleet.Failpoints != "" {
-		crash, err := failpoint.SpecHasCrash(cfg.fleet.Failpoints)
-		if err != nil {
-			return config{}, fmt.Errorf("-failpoints: %v", err)
-		}
-		if crash {
-			return config{}, fmt.Errorf("-failpoints %q uses crash mode, which would kill the simulator; use err mode", cfg.fleet.Failpoints)
-		}
+	spec, err := cfg.fleet.FaultSpec()
+	if err != nil {
+		return config{}, err
+	}
+	crash, err := failpoint.SpecHasCrash(spec)
+	if err != nil {
+		return config{}, fmt.Errorf("-failpoints: %v", err)
+	}
+	if crash {
+		return config{}, fmt.Errorf("-failpoints %q uses crash mode, which would kill the simulator; use err mode", cfg.fleet.Failpoints)
 	}
 	return cfg, nil
 }
@@ -217,14 +224,16 @@ func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 }
 
 // checkReport enforces the invariants -check promises: full convergence
-// and a clean fingerprint chain.
+// and a clean fingerprint chain. A failure ends with the run's fault
+// recipe.
 func checkReport(name string, rep *fleet.Report) error {
+	recipe := failpoint.Recipe(rep.Config.Seed, rep.FaultSpec)
 	if !rep.Converged {
-		return fmt.Errorf("check failed: %s did not converge (%d/%d edges at head %d)",
-			name, rep.Convergence.Converged, rep.Convergence.Live, rep.FinalHead)
+		return fmt.Errorf("check failed: %s did not converge (%d/%d edges at head %d); re-run %s",
+			name, rep.Convergence.Converged, rep.Convergence.Live, rep.FinalHead, recipe)
 	}
 	if rep.UnverifiedSwaps != 0 {
-		return fmt.Errorf("check failed: %s had %d unverified swaps", name, rep.UnverifiedSwaps)
+		return fmt.Errorf("check failed: %s had %d unverified swaps; re-run %s", name, rep.UnverifiedSwaps, recipe)
 	}
 	return nil
 }

@@ -31,6 +31,9 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-failpoints", "dist.state.sync=explode(1)"}, // bad action kind
 		{"-failpoints", "dist.state.sync=crash(0.5)"}, // crash would kill the process
 		{"-failpoints", "dist.state.sync=err(1.5)"},   // probability out of range
+		{"-failpoints", "fleet.relay=err(0.5)"},       // storage action on an HTTP site
+		{"-failpoints", "dist.state.sync=reset(0.5)"}, // HTTP action on a storage site
+		{"-chaos-rate", "0.1", "-chaos-tiers", "origin", "-failpoints", "fleet.origin=status(0.1)"}, // site armed twice
 	}
 	for _, args := range bad {
 		if _, err := parseFlags(args); err == nil {
@@ -157,5 +160,10 @@ func TestCheckReportFails(t *testing.T) {
 	}
 	if err := checkReport("x", &fleet.Report{Converged: true}); err != nil {
 		t.Errorf("clean report failed: %v", err)
+	}
+	// A failed verdict carries the one-line recipe of the run's faults.
+	rep := &fleet.Report{Config: fleet.Config{Seed: 7}, FaultSpec: "fleet.relay=status(0.1)", Converged: true, UnverifiedSwaps: 1}
+	if err := checkReport("x", rep); err == nil || !strings.Contains(err.Error(), `seed=7 spec="fleet.relay=status(0.1)"`) {
+		t.Errorf("failed verdict %v does not carry the recipe", err)
 	}
 }

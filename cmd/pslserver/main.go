@@ -39,8 +39,6 @@
 //	-addr HOST:PORT   listen address (default 127.0.0.1:8353)
 //	-age DAYS         publish the version in effect DAYS before
 //	                  2022-12-08 (default 0 = newest)
-//	-failrate F       fail this fraction of raw-list requests with 503,
-//	                  to exercise client fallback paths
 //	-seed N           history generator seed
 //	-versions N       number of history versions to generate (default
 //	                  1142, the full simulated history)
@@ -88,8 +86,15 @@
 //	                  'dist.state.rename=err(1);submit.persist.sync=crash(0.2,seed=7)');
 //	                  err terms surface as the named syscall failing,
 //	                  crash terms abort the process at the site — the
-//	                  supervisor-restart experiment. Armed or not, every
-//	                  site exports psl_failpoint_triggers_total{name}
+//	                  supervisor-restart experiment — and HTTP actions
+//	                  on fetch.list fault the raw-list endpoints
+//	                  ('fetch.list=status(0.25)' fails about half of
+//	                  them with 503 — each fire poisons 3 responses, so
+//	                  status(p) fails 3p/(1+2p) — while /v1 stays up,
+//	                  exercising client fallback paths). A spec whose
+//	                  actions do not fit a site's kind exits 1 before
+//	                  binding. Armed or not,
+//	                  every site exports psl_failpoint_triggers_total{name}
 //	-quiet            suppress JSON access logs on stderr
 //
 // In follower mode /healthz and /v1/version report "source":"follower"
@@ -129,7 +134,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/dnssim"
-	"repro/internal/experiments"
 	"repro/internal/failpoint"
 	"repro/internal/fetch"
 	"repro/internal/history"
@@ -148,7 +152,6 @@ type config struct {
 	addr        string
 	debugAddr   string
 	age         int
-	failRate    float64
 	seed        int64
 	versions    int
 	maxInFlight int
@@ -182,7 +185,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8353", "listen address")
 	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "serve pprof and /metrics on this extra address (off when empty)")
 	fs.IntVar(&cfg.age, "age", 0, "publish the version this many days before 2022-12-08")
-	fs.Float64Var(&cfg.failRate, "failrate", 0, "fraction of raw-list requests to fail with 503")
 	fs.Int64Var(&cfg.seed, "seed", history.DefaultSeed, "history generator seed")
 	fs.IntVar(&cfg.versions, "versions", 0, "history versions to generate (0 = full default history)")
 	fs.IntVar(&cfg.maxInFlight, "max-in-flight", serve.DefaultMaxInFlight, "admission bound for /v1/lookup")
@@ -200,16 +202,13 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.submitStateDir, "submit-state-dir", "", "persist submission records here (requires -submit)")
 	fs.Float64Var(&cfg.submitScale, "submit-scale", 0, "web-population scale for submission risk scoring (0 = probes only; requires -submit)")
 	fs.Float64Var(&cfg.submitMaxFlip, "submit-max-flip", 0, "reject submissions flipping more than this fraction of the population (0 = default 0.05; requires -submit)")
-	fs.StringVar(&cfg.failpoints, "failpoints", "", "deterministic fault-injection spec (name=err(p,...);name=crash(p,...)), seeded from -seed")
+	fs.StringVar(&cfg.failpoints, "failpoints", "", "deterministic fault-injection spec (e.g. dist.state.sync=err(0.5);fetch.list=status(0.2)), seeded from -seed")
 	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress JSON access logs")
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
 	}
 	if fs.NArg() > 0 {
 		return config{}, fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	}
-	if cfg.failRate < 0 || cfg.failRate > 1 {
-		return config{}, fmt.Errorf("-failrate %v out of range [0, 1]", cfg.failRate)
 	}
 	if cfg.age < 0 {
 		return config{}, fmt.Errorf("-age %d is negative", cfg.age)
@@ -279,7 +278,7 @@ func parseFlags(args []string) (config, error) {
 	if cfg.submitMaxFlip < 0 || cfg.submitMaxFlip > 1 {
 		return config{}, fmt.Errorf("-submit-max-flip %v out of range [0, 1]", cfg.submitMaxFlip)
 	}
-	if _, err := failpoint.Parse(cfg.failpoints); err != nil {
+	if err := failpoint.Check(cfg.failpoints); err != nil {
 		return config{}, fmt.Errorf("-failpoints: %w", err)
 	}
 	return cfg, nil
@@ -344,7 +343,6 @@ func resilient(mux http.Handler, cfg config, reg *obs.Registry) http.Handler {
 func newHandler(h *history.History, seq int, cfg config, plane *obsPlane) (http.Handler, *serve.Service, *fetch.Server, *dist.Origin, *obs.Registry) {
 	fs := fetch.NewServer(h)
 	fs.SetCurrent(seq)
-	fs.SetFailureRate(cfg.failRate)
 
 	svc := serve.NewFromHistory(h, seq, serve.Options{MaxInFlight: cfg.maxInFlight})
 	svc.SetHealthLimits(cfg.maxLag, cfg.maxSnapshotAge)
@@ -358,7 +356,6 @@ func newHandler(h *history.History, seq int, cfg config, plane *obsPlane) (http.
 	svc.RegisterMetrics(reg)
 	fs.RegisterMetrics(reg)
 	origin.RegisterMetrics(reg)
-	experiments.RegisterSweepMetrics(reg)
 	registerProcessMetrics(reg)
 
 	mux := http.NewServeMux()
@@ -616,8 +613,8 @@ func run(ctx context.Context, cfg config, stdout io.Writer) error {
 		handler, _, _, _, reg = newHandler(h, seq, cfg, plane)
 
 		meta := h.Meta(seq)
-		fmt.Fprintf(stdout, "pslserver: serving v%04d (%s, %d rules) on http://%s%s (failrate %.2f), query API at %s, metrics at %s\n",
-			meta.Seq, meta.Date.Format("2006-01-02"), meta.Rules, ln.Addr(), fetch.ListPath, cfg.failRate, serve.LookupPath, serve.MetricsPath)
+		fmt.Fprintf(stdout, "pslserver: serving v%04d (%s, %d rules) on http://%s%s, query API at %s, metrics at %s\n",
+			meta.Seq, meta.Date.Format("2006-01-02"), meta.Rules, ln.Addr(), fetch.ListPath, serve.LookupPath, serve.MetricsPath)
 	}
 
 	var logger *slog.Logger

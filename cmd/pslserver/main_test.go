@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -29,15 +28,20 @@ import (
 // the test suite stays fast.
 var testHistory = history.Generate(history.Config{Seed: history.DefaultSeed, Versions: 50})
 
-// bootServer starts the combined handler on an ephemeral port and
-// returns its base URL plus the handles the smoke tests poke.
-func bootServer(t *testing.T, failRate float64) (string, *serve.Service, *fetch.Server) {
+// bootServer starts the combined handler on an ephemeral port, with
+// the failpoint spec faults armed for the test's lifetime, and returns
+// its base URL plus the handles the smoke tests poke.
+func bootServer(t *testing.T, faults string) (string, *serve.Service, *fetch.Server) {
 	t.Helper()
 	seq := testHistory.Len() - 1
-	cfg, err := parseFlags([]string{"-failrate", fmt.Sprint(failRate)})
+	cfg, err := parseFlags([]string{"-failpoints", faults})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := failpoint.Arm(cfg.failpoints, cfg.seed); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(failpoint.DisarmAll)
 	handler, svc, fs, _, _ := newHandler(testHistory, seq, cfg, newObsPlane("origin"))
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -65,7 +69,7 @@ func bootServer(t *testing.T, failRate float64) (string, *serve.Service, *fetch.
 
 // TestSmokeEndToEnd boots the server and walks every mounted route.
 func TestSmokeEndToEnd(t *testing.T) {
-	base, _, _ := bootServer(t, 0)
+	base, _, _ := bootServer(t, "")
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	// Raw current list: parseable and the version the server announces.
@@ -151,10 +155,11 @@ func TestSmokeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFailrate503Path checks -failrate affects the raw-list endpoints
-// (clients must fall back) while the query API stays up.
+// TestFailrate503Path checks a failure rate armed on the fetch.list
+// site affects the raw-list endpoints (clients must fall back) while
+// the query API stays up.
 func TestFailrate503Path(t *testing.T) {
-	base, _, fs := bootServer(t, 1.0)
+	base, _, fs := bootServer(t, "fetch.list=status(1)")
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	resp, err := client.Get(base + fetch.ListPath)
@@ -177,17 +182,17 @@ func TestFailrate503Path(t *testing.T) {
 		t.Errorf("lookup during failrate 1.0: %s", resp.Status)
 	}
 
-	// Healing the failure rate restores the raw path.
-	fs.SetFailureRate(0)
+	// Disarming the site restores the raw path.
+	failpoint.Disarm("fetch.list")
 	resp, err = client.Get(base + fetch.ListPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("after SetFailureRate(0): %s", resp.Status)
+		t.Errorf("after disarming fetch.list: %s", resp.Status)
 	}
-	if reqs, fails := fs.Stats(); reqs < 2 || fails < 1 {
+	if reqs, fails := fs.Requests(), failpoint.Triggers("fetch.list"); reqs < 2 || fails < 1 {
 		t.Errorf("stats = %d requests %d failures", reqs, fails)
 	}
 }
@@ -196,7 +201,7 @@ func TestFailrate503Path(t *testing.T) {
 // server: a versioned /v1/lookup answer must equal the answer computed
 // from the raw /v/<seq> download.
 func TestVersionedLookupAgainstRawList(t *testing.T) {
-	base, _, _ := bootServer(t, 0)
+	base, _, _ := bootServer(t, "")
 	client := &http.Client{Timeout: 10 * time.Second}
 	const seq = 7
 	const host = "www.example.co.uk"
@@ -234,8 +239,7 @@ func TestVersionedLookupAgainstRawList(t *testing.T) {
 // fails in parseFlags — before any listener binds or history generates.
 func TestParseFlagsErrors(t *testing.T) {
 	bad := [][]string{
-		{"-failrate", "1.5"},
-		{"-failrate", "-0.1"},
+		{"-failrate", "0.5"}, // no such flag: -failpoints fetch.list=status(0.5) faults the raw list
 		{"-age", "-3"},
 		{"-max-in-flight", "0"},
 		{"-addr", ""},
@@ -260,6 +264,8 @@ func TestParseFlagsErrors(t *testing.T) {
 		{"-failpoints", "dist.state.rename=explode(1)"},    // unknown kind
 		{"-failpoints", "dist.state.rename=err(2)"},        // probability out of range
 		{"-failpoints", "x=err(1,errno=EWHAT)"},            // unknown errno
+		{"-failpoints", "fetch.list=err(1)"},               // storage action on an HTTP site
+		{"-failpoints", "dist.state.rename=status(1)"},     // HTTP action on a storage site
 	}
 	for _, args := range bad {
 		if _, err := parseFlags(args); err == nil {
@@ -267,22 +273,22 @@ func TestParseFlagsErrors(t *testing.T) {
 		}
 	}
 
-	cfg, err := parseFlags([]string{"-failrate", "0.25", "-age", "30", "-debug-addr", "127.0.0.1:0",
-		"-failpoints", "dist.state.rename=err(1);submit.persist.sync=crash(0.2,seed=7)"})
+	const spec = "dist.state.rename=err(1);submit.persist.sync=crash(0.2,seed=7);fetch.list=status(0.25)|truncate(0.1)"
+	cfg, err := parseFlags([]string{"-age", "30", "-debug-addr", "127.0.0.1:0", "-failpoints", spec})
 	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
-	if cfg.failRate != 0.25 || cfg.age != 30 || cfg.debugAddr == "" {
+	if cfg.age != 30 || cfg.debugAddr == "" {
 		t.Errorf("parsed config %+v", cfg)
 	}
-	if cfg.failpoints != "dist.state.rename=err(1);submit.persist.sync=crash(0.2,seed=7)" {
+	if cfg.failpoints != spec {
 		t.Errorf("failpoints spec not kept: %q", cfg.failpoints)
 	}
 }
 
 // requiredFamilies is the minimum metric surface the acceptance bar
-// demands on /metrics: families spanning serve, history-compile, fetch
-// and experiments, plus process-level gauges.
+// demands on /metrics: families spanning serve, history-compile and
+// fetch, plus process-level gauges and the one fault family.
 var requiredFamilies = []string{
 	"psl_serve_lookups_total",
 	"psl_serve_lookup_duration_seconds",
@@ -298,16 +304,9 @@ var requiredFamilies = []string{
 	"psl_compile_duration_seconds",
 	"psl_compile_cache_entries",
 	"psl_fetch_requests_total",
-	"psl_fetch_failures_injected_total",
 	"psl_fetch_renders_total",
 	"psl_fetch_render_cache_hits_total",
 	"psl_fetch_not_modified_total",
-	"psl_sweep_runs_total",
-	"psl_sweep_versions_total",
-	"psl_sweep_version_duration_seconds",
-	"psl_sweep_active_workers",
-	"psl_sweep_worker_busy_seconds_total",
-	"psl_sweep_utilization_ratio",
 	"psl_process_uptime_seconds",
 	"psl_process_goroutines",
 	"psl_http_panics_total",
@@ -319,7 +318,7 @@ var requiredFamilies = []string{
 // little traffic and checks it is a valid Prometheus text document
 // exposing every required family.
 func TestMetricsExposition(t *testing.T) {
-	base, _, _ := bootServer(t, 0)
+	base, _, _ := bootServer(t, "")
 	client := &http.Client{Timeout: 10 * time.Second}
 
 	for _, path := range []string{
@@ -366,6 +365,12 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if len(families) < 12 {
 		t.Errorf("/metrics exposes %d families, acceptance floor is 12", len(families))
+	}
+	// Faults are decided and counted in one place.
+	for _, f := range families {
+		if f != "psl_failpoint_triggers_total" && (strings.Contains(f, "chaos") || strings.Contains(f, "inject") || strings.Contains(f, "sweep")) {
+			t.Errorf("/metrics exposes %s; psl_failpoint_triggers_total is the only fault family", f)
+		}
 	}
 	if !bytes.Contains(body, []byte(`psl_serve_lookups_total{result="hit"} 1`)) {
 		t.Errorf("hit counter did not move:\n%s", body)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 
+	"repro/internal/failpoint"
 	"repro/internal/fetch"
 	"repro/internal/history"
 	"repro/internal/psl"
@@ -30,8 +31,13 @@ func main() {
 	embedded := h.ListAt(h.IndexForAge(730))
 	now := history.MeasurementDate
 
-	run := func(label string, strategy fetch.Strategy, failRate float64) {
-		server.SetFailureRate(failRate)
+	// The network condition is a fault spec on the list server's
+	// fetch.list site; an empty spec leaves the network fine.
+	run := func(label string, strategy fetch.Strategy, faults string) {
+		failpoint.DisarmAll()
+		if err := failpoint.Arm(faults, 1); err != nil {
+			panic(err)
+		}
 		client := fetch.NewClient(ts.URL + fetch.ListPath)
 		u := fetch.NewUpdater(embedded, client, strategy, 0)
 		u.Start(context.Background())
@@ -45,10 +51,10 @@ func main() {
 
 	fmt.Println("strategy (network condition)        update stats        effective list      bad-store decision")
 	fmt.Println("---------------------------------------------------------------------------------------------")
-	run("fixed (network fine)", fetch.StrategyFixed, 0)
-	run("startup update (network fine)", fetch.StrategyOnStartup, 0)
-	run("startup update (network DOWN)", fetch.StrategyOnStartup, 1.0)
-	run("build-time update (network fine)", fetch.StrategyAtBuild, 0)
+	run("fixed (network fine)", fetch.StrategyFixed, "")
+	run("startup update (network fine)", fetch.StrategyOnStartup, "")
+	run("startup update (network DOWN)", fetch.StrategyOnStartup, "fetch.list=status(1)")
+	run("build-time update (network fine)", fetch.StrategyAtBuild, "")
 
 	fmt.Println()
 	fmt.Println("The failing updater silently keeps its 730-day-old copy — the")

@@ -1,4 +1,4 @@
-package chaos_test
+package dist
 
 import (
 	"context"
@@ -6,54 +6,25 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
-	"repro/internal/dist"
+	"repro/internal/failpoint"
 	"repro/internal/history"
 	"repro/internal/psl"
 	"repro/internal/serve"
 	"repro/internal/serve/loadgen"
 )
 
-// chaosOracle verifies answers against library lists for the seq each
-// answer names, caching per version (ListAt replays the event history).
-type chaosOracle struct {
-	mu    sync.Mutex
-	h     *history.History
-	lists map[int]*psl.List
-}
-
-func (o *chaosOracle) verify(a serve.Answer) error {
-	if a.Seq < 0 || a.Seq >= o.h.Len() {
-		return fmt.Errorf("answer names unknown seq %d", a.Seq)
-	}
-	o.mu.Lock()
-	l, ok := o.lists[a.Seq]
-	if !ok {
-		l = o.h.ListAt(a.Seq)
-		o.lists[a.Seq] = l
-	}
-	o.mu.Unlock()
-	suffix, icann, err := l.PublicSuffix(a.Query)
-	if err != nil {
-		return fmt.Errorf("oracle rejects %q: %v", a.Query, err)
-	}
-	if a.ETLD != suffix || a.ICANN != icann {
-		return fmt.Errorf("host %q seq %d: got etld=%q icann=%v, oracle %q %v",
-			a.Query, a.Seq, a.ETLD, a.ICANN, suffix, icann)
-	}
-	return nil
-}
-
 // TestChaosE2EReplication is the resilience layer's acceptance harness:
-// an origin serves through the chaos proxy while a replica follows and
-// hot-swaps into a serve.Service under concurrent verified lookups. The
-// run cycles through every fault class; for each, the wire is poisoned
-// at 50% while the head advances, then healed — and the replica must
-// recover to lag 0 within the phase budget. Throughout, every swapped
+// an origin serves behind the wire failpoint site while a replica
+// follows and hot-swaps into a serve.Service under concurrent verified
+// lookups. The run cycles through every HTTP action; for each, the wire
+// is poisoned at 50% while the head advances, then healed — and the
+// replica must recover to lag 0 within the phase budget. A failure logs
+// each phase's one-line recipe. Throughout, every swapped
 // list must carry the exact fingerprint the origin's chain records
 // (zero unverified swaps). Afterwards the replica is killed and a fresh
 // one restores the persisted state dir, resuming from the last verified
@@ -66,22 +37,27 @@ func TestChaosE2EReplication(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	h := history.Generate(history.Config{Versions: 260})
-	origin := dist.NewOrigin(h)
+	origin := NewOrigin(h)
 	origin.SetHead(0)
-	originTS := httptest.NewServer(origin)
+	originTS := httptest.NewServer(fpWire.Wrap(origin))
 
-	proxy := chaos.NewProxy(originTS.URL, chaos.Options{
-		Seed:    42,
-		Latency: 20 * time.Millisecond,
-		Stall:   150 * time.Millisecond,
-		Burst:   3,
-		Client:  &http.Client{Timeout: 2 * time.Second, Transport: &http.Transport{}},
+	// One phase per HTTP action, each armed alone at 50% from one seed.
+	const seed = 42
+	phases := []string{"delay(0.5,ms=20)", "reset(0.5)", "truncate(0.5)", "bitflip(0.5)", "status(0.5)", "stall(0.5,ms=150)"}
+	recipes := make([]string, len(phases))
+	for i, p := range phases {
+		recipes[i] = failpoint.Recipe(seed, wireSite+"="+p)
+	}
+	t.Cleanup(func() {
+		failpoint.Disarm(wireSite)
+		if t.Failed() {
+			t.Log("re-run, one phase per line:\n" + strings.Join(recipes, "\n"))
+		}
 	})
-	proxyTS := httptest.NewServer(proxy)
 
 	stateDir := t.TempDir()
 	repClient := &http.Client{Timeout: 500 * time.Millisecond, Transport: &http.Transport{}}
-	opts := dist.ReplicaOptions{
+	opts := ReplicaOptions{
 		Client:         repClient,
 		PollInterval:   2 * time.Millisecond,
 		RequestTimeout: 500 * time.Millisecond,
@@ -93,10 +69,10 @@ func TestChaosE2EReplication(t *testing.T) {
 		StateDir:       stateDir,
 		Seed:           11,
 	}
-	rep := dist.NewReplica(proxyTS.URL, opts)
+	rep := NewReplica(originTS.URL, opts)
 	ctx, cancel := context.WithCancel(context.Background())
 
-	// Bootstrap over the still-transparent proxy, then serve from it.
+	// Bootstrap over the still-disarmed wire, then serve from it.
 	l, seq, err := rep.Bootstrap(ctx, 0)
 	if err != nil {
 		t.Fatalf("Bootstrap: %v", err)
@@ -104,7 +80,7 @@ func TestChaosE2EReplication(t *testing.T) {
 	svc := serve.New(l, seq, serve.Options{})
 	var swapMu sync.Mutex
 	var badSwaps []string
-	verifiedSwap := func(r *dist.Replica) func(*psl.List, int) {
+	verifiedSwap := func(r *Replica) func(*psl.List, int) {
 		return func(l *psl.List, seq int) {
 			if got, want := l.Fingerprint(), origin.Chain().Fingerprint(seq); got != want {
 				swapMu.Lock()
@@ -118,8 +94,8 @@ func TestChaosE2EReplication(t *testing.T) {
 	runDone := make(chan struct{})
 	go func() { defer close(runDone); rep.Run(ctx) }()
 
-	// One phase per fault class: poison the wire at 50%, advance the
-	// head, and keep the fault armed until the class has actually fired
+	// One phase per action: poison the wire at 50%, advance the head,
+	// and keep the action armed until it has actually fired
 	// against live replication traffic (a fixed window could miss — one
 	// hop can cost ~100ms between origin render and fsync-on-install, so
 	// few requests flow per wall-clock second). Then heal and demand
@@ -134,26 +110,28 @@ func TestChaosE2EReplication(t *testing.T) {
 		phaseErrMu.Unlock()
 		return err
 	}
-	finalSeq := perPhase * len(chaos.AllFaults)
+	finalSeq := perPhase * len(phases)
+	fired := make([]uint64, len(phases))
 	phase := func(i int) error {
-		fault := chaos.AllFaults[i]
-		before := proxy.InjectedBy(fault)
-		proxy.SetFaults(fault)
-		proxy.SetRate(0.5)
+		fault := phases[i]
+		before := fpWire.Triggers()
+		if err := failpoint.Arm(wireSite+"="+fault, seed); err != nil {
+			return phaseFail("arm %s: %v", fault, err)
+		}
 		target := perPhase * (i + 1)
 		origin.SetHead(target)
 		armed := time.Now().Add(10 * time.Second)
-		for proxy.InjectedBy(fault) == before && time.Now().Before(armed) {
+		for fpWire.Triggers() == before && time.Now().Before(armed) {
 			time.Sleep(5 * time.Millisecond)
 		}
-		proxy.SetRate(0)
-		if proxy.InjectedBy(fault) == before {
-			return phaseFail("fault %v never fired while armed", fault)
+		failpoint.Disarm(wireSite)
+		if fired[i] = fpWire.Triggers() - before; fired[i] == 0 {
+			return phaseFail("fault %s never fired while armed", fault)
 		}
 		deadline := time.Now().Add(20 * time.Second)
 		for rep.CurrentSeq() < int64(target) || rep.Lag() != 0 {
 			if time.Now().After(deadline) {
-				return phaseFail("fault %v: replica stuck at %d (head %d, lag %d)",
+				return phaseFail("fault %s: replica stuck at %d (head %d, lag %d)",
 					fault, rep.CurrentSeq(), target, rep.Lag())
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -161,7 +139,7 @@ func TestChaosE2EReplication(t *testing.T) {
 		return nil
 	}
 
-	orc := &chaosOracle{h: h, lists: make(map[int]*psl.List)}
+	orc := newOracle(h)
 	res := loadgen.Run(loadgen.Config{
 		Clients:           2,
 		RequestsPerClient: 200,
@@ -170,13 +148,13 @@ func TestChaosE2EReplication(t *testing.T) {
 		Lookup:            svc.Lookup,
 		Verify:            orc.verify,
 		Swap:              phase,
-		Swaps:             len(chaos.AllFaults),
+		Swaps:             len(phases),
 		SwapInterval:      time.Millisecond,
 	})
-	if res.Swaps != int64(len(chaos.AllFaults)) {
+	if res.Swaps != int64(len(phases)) {
 		phaseErrMu.Lock()
 		defer phaseErrMu.Unlock()
-		t.Fatalf("only %d/%d fault phases completed: %v", res.Swaps, len(chaos.AllFaults), phaseErrs)
+		t.Fatalf("only %d/%d fault phases completed: %v", res.Swaps, len(phases), phaseErrs)
 	}
 	if res.Mismatches != 0 {
 		t.Fatalf("%d wrong answers out of %d lookups; first: %v", res.Mismatches, res.Lookups, res.FirstMismatch)
@@ -189,9 +167,9 @@ func TestChaosE2EReplication(t *testing.T) {
 	if rep.CurrentSeq() != int64(finalSeq) || rep.Lag() != 0 {
 		t.Fatalf("replica at %d lag %d after all phases, want %d/0", rep.CurrentSeq(), rep.Lag(), finalSeq)
 	}
-	for _, f := range chaos.AllFaults {
-		if proxy.InjectedBy(f) == 0 {
-			t.Errorf("fault class %v never injected", f)
+	for i, f := range phases {
+		if fired[i] == 0 {
+			t.Errorf("fault %s never injected", f)
 		}
 	}
 	if rep.Persisted() == 0 {
@@ -209,7 +187,7 @@ func TestChaosE2EReplication(t *testing.T) {
 	rep2Client := &http.Client{Timeout: 2 * time.Second, Transport: &http.Transport{}}
 	opts2 := opts
 	opts2.Client = rep2Client
-	rep2 := dist.NewReplica(proxyTS.URL, opts2)
+	rep2 := NewReplica(originTS.URL, opts2)
 	restoredList, restoredSeq, err := rep2.RestoreState()
 	if err != nil {
 		t.Fatalf("RestoreState after kill: %v", err)
@@ -246,8 +224,6 @@ func TestChaosE2EReplication(t *testing.T) {
 	// the baseline: no leaked pollers, servers, or keep-alive readers.
 	repClient.CloseIdleConnections()
 	rep2Client.CloseIdleConnections()
-	proxy.Close()
-	proxyTS.Close()
 	originTS.Close()
 	leakDeadline := time.Now().Add(10 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(leakDeadline) {
@@ -258,6 +234,6 @@ func TestChaosE2EReplication(t *testing.T) {
 		t.Fatalf("goroutine leak: %d now vs %d at start\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
 	}
 
-	t.Logf("chaos e2e: %d lookups, %d faults (%d forwarded clean), %d retries, %d fallbacks, %d persisted, resumed at %d",
-		res.Lookups, proxy.Injected(), proxy.Forwarded(), rep.Retries(), rep.Fallbacks(), rep.Persisted(), restoredSeq)
+	t.Logf("chaos e2e: %d lookups, faults per phase %v, %d retries, %d fallbacks, %d persisted, resumed at %d",
+		res.Lookups, fired, rep.Retries(), rep.Fallbacks(), rep.Persisted(), restoredSeq)
 }

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fetch"
+	"repro/internal/failpoint"
 	"repro/internal/history"
 	"repro/internal/psl"
 	"repro/internal/serve"
@@ -167,11 +167,13 @@ func TestE2EReplicationFullHistory(t *testing.T) {
 		res.Lookups, res.Cached, rep.Applied(), rep.Fallbacks(), rep.Retries(), res.Elapsed)
 }
 
-// TestE2EReplicationWithFailureInjection repeats the sweep with 35% of
-// all dist responses failing (5xx, truncated bodies, corrupted bytes).
-// The replica must still converge — via retries and full-sync fallback
-// — and every list it swaps in must carry the exact fingerprint the
+// TestE2EReplicationWithFailureInjection repeats the sweep with ~35% of
+// all dist responses failing (503 bursts, truncated bodies, corrupted
+// bytes), all drawn from the wire site's one seeded schedule. The
+// replica must still converge — via retries and full-sync fallback —
+// and every list it swaps in must carry the exact fingerprint the
 // origin's chain records for that seq: corruption is loud, never wrong.
+// A failure logs the one-line recipe that re-arms the same schedule.
 func TestE2EReplicationWithFailureInjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -179,9 +181,17 @@ func TestE2EReplicationWithFailureInjection(t *testing.T) {
 	h := testHist(t, 1142)
 	origin := NewOrigin(h)
 	origin.SetHead(0)
-	inj := fetch.NewInjector(17, fetch.Fail5xx, fetch.FailTruncate, fetch.FailCorrupt)
-	ts := httptest.NewServer(inj.Wrap(origin))
+	ts := httptest.NewServer(fpWire.Wrap(origin))
 	defer ts.Close()
+	// A status fire poisons three responses, so status(0.04) fails ~12%.
+	const seed, faults = 17, "status(0.04)|truncate(0.12)|bitflip(0.11)"
+	recipe := failpoint.Recipe(seed, wireSite+"="+faults)
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Log("re-run: " + recipe)
+		}
+	})
+	injected := fpWire.Triggers()
 
 	opts := fastOpts()
 	opts.BackoffMax = 10 * time.Millisecond
@@ -214,7 +224,7 @@ func TestE2EReplicationWithFailureInjection(t *testing.T) {
 	runDone := make(chan struct{})
 	go func() { defer close(runDone); rep.Run(ctx) }()
 
-	inj.SetFailureRate(0.35)
+	armWire(t, faults, seed)
 	orc := newOracle(h)
 	head := h.Len() - 1
 	const swaps = 12
@@ -244,14 +254,15 @@ func TestE2EReplicationWithFailureInjection(t *testing.T) {
 	if rep.CurrentSeq() != int64(head) || rep.Lag() != 0 {
 		t.Fatalf("replica at %d lag %d, want %d/0", rep.CurrentSeq(), rep.Lag(), head)
 	}
-	if inj.Injected() == 0 {
-		t.Fatalf("injector never fired; the test proved nothing")
+	injected = fpWire.Triggers() - injected
+	if injected == 0 {
+		t.Fatalf("wire site never fired; the test proved nothing")
 	}
 	if rep.VerifyFailures() == 0 && rep.Retries() == 0 && rep.pollErrors.Load() == 0 {
-		t.Errorf("no verify failures, retries or poll errors despite %d injected faults", inj.Injected())
+		t.Errorf("no verify failures, retries or poll errors despite %d injected faults", injected)
 	}
 	cancel()
 	<-runDone
 	t.Logf("injection e2e: %d faults injected, %d verify failures, %d retries, %d fallbacks, %d hops",
-		inj.Injected(), rep.VerifyFailures(), rep.Retries(), rep.Fallbacks(), rep.Applied())
+		injected, rep.VerifyFailures(), rep.Retries(), rep.Fallbacks(), rep.Applied())
 }

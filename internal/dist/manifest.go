@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // maxDepth bounds the advertised relay depth; real deployments are a
@@ -26,13 +28,30 @@ func EncodeManifest(m Manifest) []byte {
 // DecodeManifest parses and validates a manifest blob. Replicas route
 // every manifest response through this, so a lying or corrupted upstream
 // surfaces as an explicit decode error instead of propagating a bogus
-// head into the sync loop. Errors wrap ErrCorrupt, mirroring the patch
-// and full codecs.
+// head into the sync loop. Decoding is strict: an unknown key (a damaged
+// "seq" reads as one), a missing seq, or trailing bytes are corrupt, so
+// a flipped key can never decode as a zero field. Errors wrap
+// ErrCorrupt, mirroring the patch and full codecs.
 func DecodeManifest(data []byte) (Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	// The outer Seq shadows the embedded one, so a manifest without its
+	// seq key is told apart from one advertising head 0.
+	var wire struct {
+		Manifest
+		Seq *int `json:"seq"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&wire); err != nil {
 		return Manifest{}, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Manifest{}, fmt.Errorf("%w: manifest: trailing data", ErrCorrupt)
+	}
+	if wire.Seq == nil {
+		return Manifest{}, fmt.Errorf("%w: manifest: no seq", ErrCorrupt)
+	}
+	m := wire.Manifest
+	m.Seq = *wire.Seq
 	if err := m.Validate(); err != nil {
 		return Manifest{}, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
 	}

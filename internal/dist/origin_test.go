@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -91,6 +92,31 @@ func TestOriginManifest(t *testing.T) {
 	}
 	if hdr2.Get("ETag") == hdr.Get("ETag") {
 		t.Fatalf("ETag unchanged after head change")
+	}
+}
+
+// TestDecodeManifestStrict: damage that leaves a manifest valid JSON —
+// a flipped key, a dropped seq, bytes after the object — is corrupt,
+// never a manifest with a zero field.
+func TestDecodeManifestStrict(t *testing.T) {
+	h := testHist(t, 20)
+	o := NewOrigin(h)
+	good := EncodeManifest(o.Manifest())
+	if _, err := DecodeManifest(good); err != nil {
+		t.Fatalf("intact manifest: %v", err)
+	}
+	for name, data := range map[string]string{
+		"flipped seq key":   strings.Replace(string(good), `"seq"`, `"s?q"`, 1),
+		"flipped other key": strings.Replace(string(good), `"rules"`, `"r?les"`, 1),
+		"no seq":            strings.Replace(string(good), `"seq":19,`, ``, 1),
+		"trailing data":     string(good) + `{}`,
+	} {
+		if data == string(good) {
+			t.Fatalf("%s: the damage did not apply to %s", name, good)
+		}
+		if _, err := DecodeManifest([]byte(data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

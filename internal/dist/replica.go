@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -387,6 +388,9 @@ func (r *Replica) RegisterMetrics(reg *obs.Registry) {
 	r.budget.RegisterMetrics(reg, "dist_replica")
 }
 
+// errNotFound marks a 404: the upstream does not hold what was asked.
+var errNotFound = errors.New("status 404")
+
 // get fetches one dist path, enforcing the body size cap. A non-2xx
 // status, oversized body, or transport error (including mid-body
 // truncation) is returned as an error. Every exchange runs under the
@@ -428,6 +432,9 @@ func (r *Replica) get(ctx context.Context, path, etag string) (body []byte, gotE
 		// Drain a little so the connection can be reused, then fail.
 		_, _ = io.CopyN(io.Discard, resp.Body, 4096)
 		err = fmt.Errorf("dist: GET %s: status %d", path, resp.StatusCode)
+		if resp.StatusCode == http.StatusNotFound {
+			err = fmt.Errorf("dist: GET %s: %w", path, errNotFound)
+		}
 		r.breaker.Record(gen, err)
 		return nil, "", resp.StatusCode, err
 	}
@@ -660,13 +667,16 @@ func (r *Replica) syncToHead(ctx context.Context) error {
 				return err
 			}
 			var err error
+			hop := false
 			switch {
 			case r.state.list == nil || r.state.seq < r.minSeq:
 				err = r.fullSync(ctx, head)
 			case attempts < r.opts.MaxAttempts:
+				hop = true
 				to := min(r.state.seq+r.opts.MaxHop, head)
 				err = r.applyHop(ctx, r.state.seq, to)
 			case !probed && head > r.state.seq+r.opts.MaxHop:
+				hop = true
 				// The bounded hop kept failing; before paying for a full
 				// blob, ask for one compacted patch covering the whole
 				// gap. (When the gap fits in MaxHop the hop above already
@@ -683,6 +693,14 @@ func (r *Replica) syncToHead(ctx context.Context) error {
 			if err == nil {
 				r.backoff.Reset()
 				break
+			}
+			if hop && errors.Is(err, errNotFound) {
+				// The upstream keeps no patch for that span — a relay
+				// serves only the seqs it installed — so a retry would
+				// get the same 404: take the next rung now, without
+				// spending a retry token a drained budget may not have.
+				attempts = max(attempts, r.opts.MaxAttempts)
+				continue
 			}
 			attempts++
 			if attempts > 2*r.opts.MaxAttempts+1 {

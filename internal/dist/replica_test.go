@@ -10,11 +10,27 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fetch"
+	"repro/internal/failpoint"
 	"repro/internal/obs"
 	"repro/internal/psl"
 	"repro/internal/resilience"
 )
+
+// wireSite is the network-fault site the dist tests serve their
+// origins behind.
+const wireSite = "dist.test.wire"
+
+var fpWire = failpoint.NewHTTP(wireSite)
+
+// armWire arms the wire site with actions at seed until the test ends;
+// failpoint.Disarm(wireSite) heals it sooner.
+func armWire(t *testing.T, actions string, seed int64) {
+	t.Helper()
+	if err := failpoint.Arm(wireSite+"="+actions, seed); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { failpoint.Disarm(wireSite) })
+}
 
 // fastOpts keeps test replicas snappy: millisecond backoffs, small
 // hops, and a breaker that re-probes quickly after opening.
@@ -87,8 +103,7 @@ func TestReplicaRetriesTransientFailures(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(5)
-	inj := fetch.NewInjector(3, fetch.Fail5xx)
-	ts := httptest.NewServer(inj.Wrap(o))
+	ts := httptest.NewServer(fpWire.Wrap(o))
 	defer ts.Close()
 
 	rep := NewReplica(ts.URL, fastOpts())
@@ -98,7 +113,7 @@ func TestReplicaRetriesTransientFailures(t *testing.T) {
 	}
 
 	o.SetHead(20)
-	inj.FailNext(2) // manifest fetch fails, retried by the next poll
+	armWire(t, "status(1,limit=2)", 3) // manifest fetch fails, retried by the next poll
 	var lastErr error
 	deadline := time.Now().Add(10 * time.Second)
 	for rep.CurrentSeq() != 20 && time.Now().Before(deadline) {
@@ -116,9 +131,7 @@ func TestReplicaStallHitsClientTimeout(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(3)
-	inj := fetch.NewInjector(5, fetch.FailStall)
-	inj.SetStall(2 * time.Second)
-	ts := httptest.NewServer(inj.Wrap(o))
+	ts := httptest.NewServer(fpWire.Wrap(o))
 	defer ts.Close()
 
 	opts := fastOpts()
@@ -129,7 +142,7 @@ func TestReplicaStallHitsClientTimeout(t *testing.T) {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	o.SetHead(10)
-	inj.FailNext(1)
+	armWire(t, "stall(1,ms=2000,limit=1)", 5)
 	start := time.Now()
 	deadline := start.Add(15 * time.Second)
 	for rep.CurrentSeq() != 10 && time.Now().Before(deadline) {
@@ -140,6 +153,50 @@ func TestReplicaStallHitsClientTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("convergence took %v; client timeout did not cut the stall", elapsed)
+	}
+}
+
+// TestReplicaSkipsUnretainedHopWithoutBudget: an upstream that keeps
+// no patch for the bounded hop (a relay serves only the seqs it
+// installed) answers it 404 however often it is asked. The replica
+// must take the next rung — here the compaction probe — without
+// spending a retry token, so a budget drained by an earlier outage
+// cannot pin it behind the head.
+func TestReplicaSkipsUnretainedHopWithoutBudget(t *testing.T) {
+	h := testHist(t, 40)
+	o := NewOrigin(h)
+	o.SetHead(0)
+	mux := http.NewServeMux()
+	mux.Handle(Prefix, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, patchPrefix) && !strings.HasSuffix(r.URL.Path, "/30") {
+			http.NotFound(w, r)
+			return
+		}
+		o.ServeHTTP(w, r)
+	}))
+	mux.Handle(ManifestPath, o)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	opts := fastOpts()
+	opts.RetryBudget = 2
+	opts.RetryDeposit = 0.01
+	rep := NewReplica(ts.URL, opts)
+	ctx := context.Background()
+	if _, _, err := rep.Bootstrap(ctx, 0); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	for rep.RetryBudget().Withdraw() {
+	}
+	o.SetHead(30)
+	if err := rep.Poll(ctx); err != nil {
+		t.Fatalf("Poll with a drained budget past an unretained hop: %v", err)
+	}
+	if rep.CurrentSeq() != 30 || rep.CompactHits() == 0 {
+		t.Fatalf("cur %d, compaction hits %d; want 30 through the probe", rep.CurrentSeq(), rep.CompactHits())
+	}
+	if rep.Retries() != 0 {
+		t.Fatalf("%d retries spent on a 404 that no retry can change", rep.Retries())
 	}
 }
 
@@ -178,8 +235,7 @@ func TestReplicaNeverSwapsCorruptBlobs(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(5)
-	inj := fetch.NewInjector(11, fetch.FailCorrupt)
-	ts := httptest.NewServer(inj.Wrap(o))
+	ts := httptest.NewServer(fpWire.Wrap(o))
 	defer ts.Close()
 
 	rep := NewReplica(ts.URL, fastOpts())
@@ -195,10 +251,13 @@ func TestReplicaNeverSwapsCorruptBlobs(t *testing.T) {
 		}
 	}
 
-	// With every response corrupted, nothing may be swapped in.
+	// With every response corrupted, nothing may be swapped in. Most
+	// damaged manifests are rejected before any blob is fetched; poll
+	// on until one whose damage still decodes (a flipped fingerprint or
+	// version byte) sends the replica after the corrupt blobs.
 	o.SetHead(20)
-	inj.SetFailureRate(1.0)
-	for i := 0; i < 3; i++ {
+	armWire(t, "bitflip(1)", 11)
+	for i := 0; i < 3 || (rep.VerifyFailures() == 0 && i < 100); i++ {
 		if err := rep.Poll(ctx); err == nil {
 			t.Fatalf("poll succeeded while all blobs corrupt")
 		}
@@ -211,7 +270,7 @@ func TestReplicaNeverSwapsCorruptBlobs(t *testing.T) {
 	}
 
 	// Heal the wire: convergence resumes.
-	inj.SetFailureRate(0)
+	failpoint.Disarm(wireSite)
 	if err := rep.Poll(ctx); err != nil {
 		t.Fatalf("Poll after healing: %v", err)
 	}
@@ -264,13 +323,12 @@ func TestReplicaBackoffResetsAfterSuccessfulPoll(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(3)
-	inj := fetch.NewInjector(9, fetch.FailCorrupt)
 	// Corrupt only the blob endpoints: a corrupt manifest fails the
 	// cycle outright (DecodeManifest rejects it), while this test is
 	// about the retry ladder under failing transfers.
 	mux := http.NewServeMux()
 	mux.Handle(ManifestPath, o)
-	mux.Handle(Prefix, inj.Wrap(o))
+	mux.Handle(Prefix, fpWire.Wrap(o))
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
@@ -280,14 +338,14 @@ func TestReplicaBackoffResetsAfterSuccessfulPoll(t *testing.T) {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	o.SetHead(10)
-	inj.SetFailureRate(1.0)
+	armWire(t, "bitflip(1)", 9)
 	if err := rep.Poll(ctx); err == nil {
 		t.Fatal("poll succeeded on an all-corrupt wire")
 	}
 	if rep.backoff.Attempt() == 0 {
 		t.Fatal("failed poll left the backoff at attempt 0; retries took no delay")
 	}
-	inj.SetFailureRate(0)
+	failpoint.Disarm(wireSite)
 	if err := rep.Poll(ctx); err != nil {
 		t.Fatalf("Poll after healing: %v", err)
 	}
@@ -304,8 +362,7 @@ func TestReplicaBreakerOpensOnTransportFailures(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(3)
-	inj := fetch.NewInjector(5, fetch.Fail5xx)
-	ts := httptest.NewServer(inj.Wrap(o))
+	ts := httptest.NewServer(fpWire.Wrap(o))
 	defer ts.Close()
 
 	opts := fastOpts()
@@ -317,7 +374,7 @@ func TestReplicaBreakerOpensOnTransportFailures(t *testing.T) {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 
-	inj.SetFailureRate(1.0)
+	armWire(t, "status(1)", 5)
 	for i := 0; i < 3; i++ {
 		if err := rep.Poll(ctx); err == nil {
 			t.Fatalf("poll %d succeeded through a 100%% 5xx wire", i)
@@ -335,7 +392,7 @@ func TestReplicaBreakerOpensOnTransportFailures(t *testing.T) {
 	}
 
 	// Heal the wire and outwait the open window: the probe closes it.
-	inj.SetFailureRate(0)
+	failpoint.Disarm(wireSite)
 	o.SetHead(8)
 	time.Sleep(30 * time.Millisecond)
 	deadline := time.Now().Add(10 * time.Second)
@@ -354,16 +411,15 @@ func TestReplicaBreakerOpensOnTransportFailures(t *testing.T) {
 // poisoned wire exhausts it and the cycle ends with a budget error
 // instead of retrying without bound. Only the transfers the budget
 // governs are corrupted: the manifest carries a wall-clock publish
-// stamp, so corrupting it too would make where the seeded injector
+// stamp, so corrupting it too would make where the seeded site
 // flips bytes (and whether a poll ever reaches a transfer) depend on
 // the clock.
 func TestReplicaBudgetExhaustionEndsCycle(t *testing.T) {
 	h := testHist(t, 40)
 	o := NewOrigin(h)
 	o.SetHead(3)
-	inj := fetch.NewInjector(13, fetch.FailCorrupt)
 	mux := http.NewServeMux()
-	mux.Handle(Prefix, inj.Wrap(o))
+	mux.Handle(Prefix, fpWire.Wrap(o))
 	mux.Handle(ManifestPath, o)
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
@@ -377,7 +433,7 @@ func TestReplicaBudgetExhaustionEndsCycle(t *testing.T) {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	o.SetHead(20)
-	inj.SetFailureRate(1.0)
+	armWire(t, "bitflip(1)", 13)
 	var err error
 	for i := 0; i < 5 && rep.RetryBudget().Denied() == 0; i++ {
 		err = rep.Poll(ctx)

@@ -8,11 +8,16 @@ package dnssim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/domain"
+	"repro/internal/failpoint"
 )
+
+// fpResolve is the resolver's seeded fault site: armed (for example
+// `dnssim.resolve=err(0.3)`), each query not covered by a per-name pin
+// may time out.
+var fpResolve = failpoint.New("dnssim.resolve")
 
 // RType is a record type.
 type RType uint8
@@ -60,8 +65,8 @@ var (
 	// ErrChainTooDeep reports a loop-free CNAME chain longer than the
 	// chase bound, the cap real resolvers apply before giving up.
 	ErrChainTooDeep = errors.New("dnssim: CNAME chain too deep")
-	// ErrTimeout reports an injected resolver timeout (the chaos fault
-	// layer; no real time passes).
+	// ErrTimeout reports an injected resolver timeout (a pinned fault or
+	// the dnssim.resolve site; no real time passes).
 	ErrTimeout = errors.New("dnssim: query timed out")
 )
 
@@ -102,12 +107,10 @@ type Zone struct {
 	records map[string]map[RType][]string
 	queries int
 
-	// Fault layer: per-name pinned faults win over the seeded rate.
+	// Fault layer: per-name pinned faults win over the dnssim.resolve
+	// site.
 	faultMu   sync.Mutex
 	perName   map[string]FaultKind
-	frng      *rand.Rand
-	fkind     FaultKind
-	frate     float64
 	faultsHit int
 }
 
@@ -132,20 +135,6 @@ func (z *Zone) SetFault(name string, k FaultKind) {
 	z.perName[name] = k
 }
 
-// SetFaultRate arms seeded random fault injection: each query not
-// covered by a per-name pin takes fault k with probability rate. Equal
-// seeds replay identical decisions. Rate <= 0 or FaultNone disarms.
-func (z *Zone) SetFaultRate(seed int64, k FaultKind, rate float64) {
-	z.faultMu.Lock()
-	defer z.faultMu.Unlock()
-	if k == FaultNone || rate <= 0 {
-		z.fkind, z.frate, z.frng = FaultNone, 0, nil
-		return
-	}
-	z.fkind, z.frate = k, rate
-	z.frng = rand.New(rand.NewSource(seed))
-}
-
 // FaultsInjected reports how many queries took an injected fault.
 func (z *Zone) FaultsInjected() int {
 	z.faultMu.Lock()
@@ -161,9 +150,9 @@ func (z *Zone) decideFault(name string) FaultKind {
 		z.faultsHit++
 		return k
 	}
-	if z.fkind != FaultNone && z.frng != nil && z.frng.Float64() < z.frate {
+	if fpResolve.Inject() != nil {
 		z.faultsHit++
-		return z.fkind
+		return FaultTimeout
 	}
 	return FaultNone
 }

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/failpoint"
 )
 
 func TestResolveBasic(t *testing.T) {
@@ -258,7 +260,10 @@ func TestFaultRateSeeded(t *testing.T) {
 	run := func() (faults int) {
 		z := NewZone()
 		z.AddTXT("r.example", "v")
-		z.SetFaultRate(42, FaultNXDomain, 0.3)
+		if err := failpoint.Arm("dnssim.resolve=err(0.3)", 42); err != nil {
+			t.Fatal(err)
+		}
+		defer failpoint.Disarm("dnssim.resolve")
 		for i := 0; i < 200; i++ {
 			if _, err := z.TXT("r.example"); err != nil {
 				faults++
@@ -276,8 +281,10 @@ func TestFaultRateSeeded(t *testing.T) {
 	// Disarming stops injection.
 	z := NewZone()
 	z.AddTXT("r.example", "v")
-	z.SetFaultRate(42, FaultNXDomain, 0.9)
-	z.SetFaultRate(0, FaultNone, 0)
+	if err := failpoint.Arm("dnssim.resolve=err(0.9)", 42); err != nil {
+		t.Fatal(err)
+	}
+	failpoint.Disarm("dnssim.resolve")
 	for i := 0; i < 50; i++ {
 		if _, err := z.TXT("r.example"); err != nil {
 			t.Fatalf("disarmed zone faulted: %v", err)

@@ -33,9 +33,6 @@ type Env struct {
 
 	pipeOnce sync.Once
 	pipe     *core.Pipeline
-
-	compiledOnce sync.Once
-	compiled     *history.CompileCache
 }
 
 // New assembles an environment. Scale 1.0 is the reference

@@ -28,9 +28,11 @@ func TestParseSpec(t *testing.T) {
 		"a.b.c=err(0.5,seed=7,after=3,limit=2,errno=ENOSPC)",
 		"a=crash(1);b=err(0.25);c=off",
 		" a = err(1) ; b = crash(0.2,seed=9) ",
+		"a=status(0.1)|truncate(0.2,seed=3)|delay(0.1,ms=5)",
+		"a=stall(1,ms=100);b=bitflip(0.5,after=2,limit=1);c=reset(0)",
 	}
 	for _, spec := range good {
-		if _, err := Parse(spec); err != nil {
+		if _, err := parse(spec); err != nil {
 			t.Errorf("Parse(%q) = %v, want nil", spec, err)
 		}
 	}
@@ -46,9 +48,15 @@ func TestParseSpec(t *testing.T) {
 		"a=err(1,wat=1)",             // unknown key
 		"a=err(1);a=err(1)",          // duplicate site
 		"a=err",                      // missing parens
+		"a=err(0.5)|status(0.1)",     // storage and HTTP mixed
+		"a=status(0.6)|reset(0.6)",   // probabilities above 1
+		"a=delay(1,ms=0)",            // non-positive ms
+		"a=reset(1,ms=5)",            // ms on an action without a duration
+		"a=status(1,errno=EIO)",      // errno on an HTTP action
+		"a=reset(0.1,seed=1)|bitflip(0.1,seed=2)", // two seeds for one RNG
 	}
 	for _, spec := range bad {
-		if _, err := Parse(spec); err == nil {
+		if _, err := parse(spec); err == nil {
 			t.Errorf("Parse(%q) = nil, want error", spec)
 		}
 	}
@@ -60,6 +68,7 @@ func TestInjectErrAlwaysAndSentinels(t *testing.T) {
 	if err := fp.Inject(); err != nil {
 		t.Fatalf("disarmed Inject = %v, want nil", err)
 	}
+	before := fp.Triggers()
 	if err := Arm("test.inject.always=err(1,errno=ENOSPC)", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +79,7 @@ func TestInjectErrAlwaysAndSentinels(t *testing.T) {
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("Inject = %v, want errors.Is ENOSPC", err)
 	}
-	if got := fp.Triggers(); got != 1 {
+	if got := fp.Triggers() - before; got != 1 {
 		t.Fatalf("Triggers = %d, want 1", got)
 	}
 	Disarm("test.inject.always")

@@ -5,9 +5,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/failpoint"
 )
+
+// The fetch.list site is the raw-list server's fault injector; these
+// tests render each of its HTTP actions around a fixed payload.
 
 // payload is a fixed 4KB body whose checksum corruption tests compare
 // against.
@@ -24,11 +30,18 @@ func payloadHandler() (http.Handler, [32]byte) {
 	return h, sum
 }
 
+// injected counts the fetch.list site's fires from the call on.
+func injected() func() uint64 {
+	base := fpList.Triggers()
+	return func() uint64 { return fpList.Triggers() - base }
+}
+
 func TestInjectorPassThrough(t *testing.T) {
 	h, sum := payloadHandler()
-	in := NewInjector(1, Fail5xx, FailTruncate, FailCorrupt, FailStall)
-	ts := httptest.NewServer(in.Wrap(h))
+	ts := httptest.NewServer(fpList.Wrap(h))
 	defer ts.Close()
+	armList(t, "status(0)|truncate(0)|bitflip(0)|stall(0)")
+	count := injected()
 
 	resp, err := http.Get(ts.URL)
 	if err != nil {
@@ -42,16 +55,16 @@ func TestInjectorPassThrough(t *testing.T) {
 	if sha256.Sum256(body) != sum {
 		t.Fatalf("pass-through body altered")
 	}
-	if in.Injected() != 0 {
-		t.Fatalf("Injected = %d, want 0", in.Injected())
+	if n := count(); n != 0 {
+		t.Fatalf("Injected = %d, want 0", n)
 	}
 }
 
 func TestInjector5xx(t *testing.T) {
 	h, _ := payloadHandler()
-	in := NewInjector(1, Fail5xx)
-	in.FailNext(1)
-	ts := httptest.NewServer(in.Wrap(h))
+	armList(t, "status(1,limit=1)")
+	count := injected()
+	ts := httptest.NewServer(fpList.Wrap(h))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL)
@@ -62,8 +75,8 @@ func TestInjector5xx(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", resp.StatusCode)
 	}
-	if in.Injected() != 1 {
-		t.Fatalf("Injected = %d, want 1", in.Injected())
+	if n := count(); n != 1 {
+		t.Fatalf("Injected = %d, want 1", n)
 	}
 	// Budget consumed: next request passes.
 	resp, err = http.Get(ts.URL)
@@ -78,9 +91,8 @@ func TestInjector5xx(t *testing.T) {
 
 func TestInjectorTruncate(t *testing.T) {
 	h, _ := payloadHandler()
-	in := NewInjector(1, FailTruncate)
-	in.FailNext(1)
-	ts := httptest.NewServer(in.Wrap(h))
+	armList(t, "truncate(1,limit=1)")
+	ts := httptest.NewServer(fpList.Wrap(h))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL)
@@ -102,9 +114,8 @@ func TestInjectorTruncate(t *testing.T) {
 
 func TestInjectorCorrupt(t *testing.T) {
 	h, sum := payloadHandler()
-	in := NewInjector(1, FailCorrupt)
-	in.FailNext(1)
-	ts := httptest.NewServer(in.Wrap(h))
+	armList(t, "bitflip(1,limit=1)")
+	ts := httptest.NewServer(fpList.Wrap(h))
 	defer ts.Close()
 
 	resp, err := http.Get(ts.URL)
@@ -127,10 +138,8 @@ func TestInjectorCorrupt(t *testing.T) {
 
 func TestInjectorStall(t *testing.T) {
 	h, _ := payloadHandler()
-	in := NewInjector(1, FailStall)
-	in.SetStall(5 * time.Second)
-	in.FailNext(1)
-	ts := httptest.NewServer(in.Wrap(h))
+	armList(t, "stall(1,ms=5000,limit=1)")
+	ts := httptest.NewServer(fpList.Wrap(h))
 	defer ts.Close()
 
 	client := &http.Client{Timeout: 100 * time.Millisecond}
@@ -146,27 +155,38 @@ func TestInjectorStall(t *testing.T) {
 }
 
 func TestInjectorRateAndString(t *testing.T) {
-	in := NewInjector(7, Fail5xx, FailCorrupt)
-	in.SetFailureRate(1.0)
-	fails := 0
-	for i := 0; i < 50; i++ {
-		if _, fail := in.Decide(); fail {
-			fails++
+	h, _ := payloadHandler()
+	ts := httptest.NewServer(fpList.Wrap(h))
+	defer ts.Close()
+	get := func() int {
+		resp, err := http.Get(ts.URL)
+		if err != nil {
+			t.Fatalf("GET: %v", err)
 		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	if fails != 50 {
-		t.Fatalf("rate 1.0: %d/50 failed", fails)
+
+	armList(t, "status(0.5)|bitflip(0.5)")
+	count := injected()
+	failpoint.StartTrace()
+	for i := 0; i < 50; i++ {
+		get()
 	}
-	in.SetFailureRate(0)
-	if _, fail := in.Decide(); fail {
-		t.Fatalf("rate 0 still failing")
+	schedule := failpoint.StopTrace()
+	if n := count(); n != 50 {
+		t.Fatalf("rate 1.0: %d/50 failed", n)
 	}
-	for _, tc := range []struct {
-		m    FailureMode
-		want string
-	}{{Fail5xx, "5xx"}, {FailTruncate, "truncate"}, {FailCorrupt, "corrupt"}, {FailStall, "stall"}} {
-		if got := tc.m.String(); got != tc.want {
-			t.Errorf("String(%d) = %q, want %q", tc.m, got, tc.want)
+	failpoint.Disarm("fetch.list")
+	count = injected()
+	if code := get(); code != http.StatusOK || count() != 0 {
+		t.Fatalf("disarmed site still failing: status %d, %d fires", code, count())
+	}
+	// The transcript names each decision by its action.
+	for _, want := range []string{"fetch.list#0 ", " status\n", " bitflip\n"} {
+		if !strings.Contains(schedule, want) {
+			t.Errorf("transcript missing %q:\n%s", want, schedule)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/failpoint"
 	"repro/internal/history"
 	"repro/internal/obs"
 )
@@ -46,9 +47,16 @@ func TestServerMetrics(t *testing.T) {
 		t.Fatalf("GET /v/0: %d", rec.Code)
 	}
 	// One injected failure.
-	srv.FailNext(1)
+	if err := failpoint.Arm("fetch.list=status(1,limit=1)", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disarm("fetch.list")
+	before := failpoint.Triggers("fetch.list")
 	if rec := get(ListPath, ""); rec.Code != 503 {
 		t.Fatalf("injected failure: %d, want 503", rec.Code)
+	}
+	if after := failpoint.Triggers("fetch.list"); after-before != 1 {
+		t.Errorf("fetch.list fired %d times, want 1", after-before)
 	}
 
 	doc := reg.Render()
@@ -57,7 +65,6 @@ func TestServerMetrics(t *testing.T) {
 	}
 	for _, want := range []string{
 		"psl_fetch_requests_total 5",
-		"psl_fetch_failures_injected_total 1",
 		"psl_fetch_renders_total 2",
 		"psl_fetch_render_cache_hits_total 2",
 		"psl_fetch_not_modified_total 1",

@@ -2,17 +2,20 @@ package fetch
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"sync"
 	"testing"
+
+	"repro/internal/failpoint"
 )
 
 // TestServerKnobsSafeUnderLoad is the -race regression for the server's
-// mutable state: SetCurrent, SetFailureRate and FailNext churn while
-// many clients fetch concurrently, and every 200 body must parse to a
+// mutable state: SetCurrent and the fetch.list site's arming churn
+// while many clients fetch concurrently, and every 200 body must parse to a
 // version the server could legitimately have been serving.
 func TestServerKnobsSafeUnderLoad(t *testing.T) {
 	s := NewServer(testHistory)
@@ -27,13 +30,15 @@ func TestServerKnobsSafeUnderLoad(t *testing.T) {
 		defer close(done)
 		for i := 0; i < flips; i++ {
 			s.SetCurrent(versions[i%len(versions)])
-			s.SetFailureRate(float64(i%4) * 0.1)
+			spec := fmt.Sprintf("fetch.list=status(%v)", float64(i%4)*0.1)
 			if i%10 == 0 {
-				s.FailNext(1)
+				spec = "fetch.list=status(1,limit=1)"
+			}
+			if err := failpoint.Arm(spec, int64(i)); err != nil {
+				t.Error(err)
 			}
 		}
-		s.SetFailureRate(0)
-		s.FailNext(0)
+		failpoint.Disarm("fetch.list")
 	}()
 
 	// Valid bodies, by length: the knob values above are the only
@@ -85,8 +90,7 @@ func TestServerKnobsSafeUnderLoad(t *testing.T) {
 
 	// After the dust settles the canonical path must serve the last
 	// configured version, whole and parseable.
-	s.SetFailureRate(0)
-	s.FailNext(0)
+	failpoint.Disarm("fetch.list")
 	c := NewClient(ts.URL + ListPath)
 	l, err := c.Fetch(context.Background())
 	if err != nil {
@@ -95,7 +99,7 @@ func TestServerKnobsSafeUnderLoad(t *testing.T) {
 	if !wantRules[l.Len()] {
 		t.Errorf("final list has %d rules, not a configured version", l.Len())
 	}
-	reqs, fails := s.Stats()
+	reqs, fails := s.Requests(), int(failpoint.Triggers("fetch.list"))
 	if reqs < 16*40 {
 		t.Errorf("stats report %d requests, want >= %d", reqs, 16*40)
 	}

@@ -7,11 +7,12 @@ import (
 	"math/rand"
 	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/dist"
 	"repro/internal/failpoint"
 	"repro/internal/faultfs"
@@ -25,6 +26,23 @@ const (
 	TierOrigin = "origin" // faults between relays (or 1-tier edges) and the origin
 	TierRelay  = "relay"  // faults between edges and the relay tier
 )
+
+// The network-fault sites in front of each tier, one per tier however
+// many nodes it has: every relay answers behind the one fleet.relay
+// site, so a tier's faults draw from one seeded schedule and one
+// trigger counter.
+const (
+	SiteOrigin = "fleet.origin"
+	SiteRelay  = "fleet.relay"
+)
+
+var (
+	fpOrigin = failpoint.NewHTTP(SiteOrigin)
+	fpRelay  = failpoint.NewHTTP(SiteRelay)
+)
+
+// tierSites maps a chaos tier to its site.
+var tierSites = map[string]string{TierOrigin: SiteOrigin, TierRelay: SiteRelay}
 
 // Config parameterises one fleet run. Zero values get defaults; the
 // whole struct is echoed into the report, so two runs are comparable
@@ -59,8 +77,9 @@ type Config struct {
 	// is replaced by a fresh edge RejoinDelay later when time permits.
 	ChurnFraction float64       `json:"churn_fraction"`
 	RejoinDelay   time.Duration `json:"rejoin_delay_ns"`
-	// ChaosRate arms the chaos proxies on ChaosTiers with every fault
-	// class at that injection rate for the run's Duration.
+	// ChaosRate arms the sites of ChaosTiers with all six HTTP actions
+	// sharing that rate (see FaultSpec) from the moment the relays have
+	// bootstrapped until Duration ends.
 	ChaosRate  float64  `json:"chaos_rate"`
 	ChaosTiers []string `json:"chaos_tiers,omitempty"`
 	// MaxHop bounds edge and relay patch spans.
@@ -73,12 +92,12 @@ type Config struct {
 
 	// Failpoints, when non-empty, is a failpoint spec (see
 	// internal/failpoint) armed for the whole run with Seed as the base
-	// seed and disarmed when Run returns — storage faults layered under
-	// the wire faults ChaosRate injects. Only err-mode terms are
-	// accepted: a crash-mode panic on an edge goroutine would kill the
-	// simulator process, so crash specs are a setup error here (they
-	// belong to internal/torture, which converts the panic into a
-	// simulated power cut).
+	// seed and disarmed when Run returns — storage faults, or HTTP
+	// actions on the fleet.origin / fleet.relay sites, joined with the
+	// terms ChaosRate builds into one spec. Crash terms are a setup
+	// error: a crash-mode panic on an edge goroutine would kill the
+	// simulator process (crash belongs to internal/torture, which
+	// converts the panic into a simulated power cut).
 	Failpoints string `json:"failpoints,omitempty"`
 	// EdgeState gives every edge its own in-memory state dir
 	// (faultfs.MemFS behind dist.ReplicaOptions.FS), so each verified
@@ -88,7 +107,7 @@ type Config struct {
 	EdgeState bool `json:"edge_state,omitempty"`
 
 	// Metrics, when non-nil, receives the run's metric families (origin,
-	// per-tier chaos, and fleet-level lag/egress gauges). Not echoed.
+	// failpoint triggers, and fleet-level lag/egress gauges). Not echoed.
 	Metrics *obs.Registry `json:"-"`
 }
 
@@ -142,6 +161,35 @@ func (c Config) withDefaults() Config {
 		c.ConvergeTimeout = 30 * time.Second
 	}
 	return c
+}
+
+// FaultSpec is the one failpoint spec a run arms: Failpoints joined
+// with the chaos terms (see chaosSpec).
+func (c Config) FaultSpec() (string, error) {
+	chaos, err := c.chaosSpec()
+	if err != nil || c.Failpoints == "" || chaos == "" {
+		return c.Failpoints + chaos, err
+	}
+	return c.Failpoints + ";" + chaos, nil
+}
+
+// chaosSpec arms, for each of ChaosTiers, its site with every HTTP
+// action at ChaosRate/6 — delays of BasePoll/4 and stalls of BasePoll.
+func (c Config) chaosSpec() (string, error) {
+	var terms []string
+	p := strconv.FormatFloat(c.ChaosRate/6, 'g', -1, 64)
+	delay, stall := max(1, c.BasePoll.Milliseconds()/4), max(1, c.BasePoll.Milliseconds())
+	actions := fmt.Sprintf("delay(%[1]s,ms=%[2]d)|reset(%[1]s)|truncate(%[1]s)|bitflip(%[1]s)|status(%[1]s)|stall(%[1]s,ms=%[3]d)", p, delay, stall)
+	for _, tier := range c.ChaosTiers {
+		site, ok := tierSites[tier]
+		if !ok {
+			return "", fmt.Errorf("fleet: unknown chaos tier %q", tier)
+		}
+		if c.ChaosRate > 0 {
+			terms = append(terms, site+"="+actions)
+		}
+	}
+	return strings.Join(terms, ";"), nil
 }
 
 // headSchedule precomputes the versions published during the run; the
@@ -281,13 +329,18 @@ func (f *fleet) waterfalls() []SeqWaterfall {
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 
-	// Storage faults: armed before any component is built (sites
-	// register on first arm), disarmed whatever way the run ends. The
-	// trigger counters are global to the process, so the report carries
-	// the delta across this run, not the absolute counts.
+	// Faults: Failpoints are armed before any component is built (sites
+	// register on first arm), the chaos terms once the relay tier is up;
+	// all are disarmed whatever way the run ends. The trigger counters
+	// are global to the process, so the report carries the delta across
+	// this run, not the absolute counts.
+	spec, err := cfg.FaultSpec()
+	if err != nil {
+		return nil, err
+	}
 	var fpBase map[string]uint64
-	if cfg.Failpoints != "" {
-		if crash, err := failpoint.SpecHasCrash(cfg.Failpoints); err != nil {
+	if spec != "" {
+		if crash, err := failpoint.SpecHasCrash(spec); err != nil {
 			return nil, fmt.Errorf("fleet: failpoints: %w", err)
 		} else if crash {
 			return nil, fmt.Errorf("fleet: crash-mode failpoints in %q would kill the simulator process; use err mode (crash belongs to internal/torture)", cfg.Failpoints)
@@ -307,18 +360,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	origin := dist.NewOrigin(h)
 	origin.SetHead(cfg.StartHead)
 
-	// Origin tier: true-egress meter directly on the origin, chaos above
-	// it, and the client-side transport whoever follows the origin uses.
+	// Origin tier: true-egress meter directly on the origin, its fault
+	// site above it, and the client-side transport whoever follows the
+	// origin uses.
 	originT := NewHandlerTransport(origin)
-	chaosOrigin := chaos.NewProxy("http://origin.fleet", chaos.Options{
-		Seed:    cfg.Seed + 101,
-		Latency: cfg.BasePoll / 4,
-		Stall:   cfg.BasePoll,
-		Tier:    TierOrigin,
-		Client:  &http.Client{Transport: originT},
-	})
-	originTierT := NewHandlerTransport(chaosOrigin)
-	originClient := &http.Client{Transport: originTierT}
+	originClient := &http.Client{Transport: NewHandlerTransport(fpOrigin.Wrap(originT))}
 
 	f := &fleet{
 		cfg:       cfg,
@@ -332,15 +378,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	defer cancelRun()
 
 	// Relay tier (when configured): each relay follows the origin
-	// through the origin-tier chaos, re-serves downstream through its
-	// own chaos proxy, and every verified install is checked against the
+	// through the origin-tier site, re-serves downstream behind the
+	// relay-tier site, and every verified install is checked against the
 	// origin chain — relays are held to the same zero-unverified
 	// invariant as edges.
 	var (
-		relays      []*dist.Relay
-		relayT      []*HandlerTransport
-		chaosRelays []*chaos.Proxy
-		relayDone   = make(chan struct{})
+		relays    []*dist.Relay
+		relayT    []*HandlerTransport
+		relayDone = make(chan struct{})
 	)
 	if cfg.Relays > 0 {
 		edgeRouter := hostRouter{}
@@ -356,17 +401,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			rep.OnVerified = f.verify
 			rl := dist.NewRelay(rep, dist.RelayOptions{Retain: cfg.Retain})
 			rt := NewHandlerTransport(rl)
-			cp := chaos.NewProxy(fmt.Sprintf("http://relay%d.fleet", i), chaos.Options{
-				Seed:    cfg.Seed + 300 + int64(i),
-				Latency: cfg.BasePoll / 4,
-				Stall:   cfg.BasePoll,
-				Tier:    TierRelay,
-				Client:  &http.Client{Transport: rt},
-			})
-			edgeRouter[fmt.Sprintf("relay%d.fleet", i)] = cp
+			edgeRouter[fmt.Sprintf("relay%d.fleet", i)] = fpRelay.Wrap(rt)
 			relays = append(relays, rl)
 			relayT = append(relayT, rt)
-			chaosRelays = append(chaosRelays, cp)
 		}
 		f.edgeClient = &http.Client{Transport: NewHandlerTransport(edgeRouter)}
 		f.edgeURL = func(id int) string { return fmt.Sprintf("http://relay%d.fleet", id%cfg.Relays) }
@@ -393,32 +430,17 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		f.edgeURL = func(int) string { return "http://origin.fleet" }
 	}
 
-	if reg := cfg.Metrics; reg != nil {
-		origin.RegisterMetrics(reg)
-		chaosOrigin.RegisterMetrics(reg)
-		if len(chaosRelays) > 0 {
-			chaosRelays[0].RegisterMetrics(reg)
-		}
-		f.registerMetrics(reg, originT, relayT)
+	// Chaos on the configured tiers. Arming one site seeds it exactly as
+	// arming the whole spec would, so FaultSpec stays the recipe.
+	chaos, _ := cfg.chaosSpec()
+	if err := failpoint.Arm(chaos, cfg.Seed); err != nil {
+		return nil, fmt.Errorf("fleet: chaos: %w", err)
 	}
 
-	// Arm chaos on the configured tiers.
-	armed := make([]*chaos.Proxy, 0, 1+len(chaosRelays))
-	for _, tier := range cfg.ChaosTiers {
-		switch tier {
-		case TierOrigin:
-			armed = append(armed, chaosOrigin)
-		case TierRelay:
-			armed = append(armed, chaosRelays...)
-		default:
-			return nil, fmt.Errorf("fleet: unknown chaos tier %q", tier)
-		}
-	}
-	if cfg.ChaosRate > 0 {
-		for _, p := range armed {
-			p.SetFaults(chaos.AllFaults...)
-			p.SetRate(cfg.ChaosRate)
-		}
+	if reg := cfg.Metrics; reg != nil {
+		origin.RegisterMetrics(reg)
+		failpoint.RegisterMetrics(reg)
+		f.registerMetrics(reg, originT, relayT)
 	}
 
 	start := time.Now()
@@ -504,9 +526,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// Quiet convergence window: heal the wire, make sure the final head
 	// is out (the advancer might have been a tick from its last step),
 	// and wait for every live node to reach it.
-	for _, p := range armed {
-		p.SetRate(0)
-	}
+	failpoint.Disarm(SiteOrigin)
+	failpoint.Disarm(SiteRelay)
 	origin.SetHead(finalHead)
 	f.notePublish(finalHead)
 	if finalAt.Load() == 0 {
@@ -516,10 +537,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	cancelRun()
 	f.drain(relayDone)
-	chaosOrigin.Close()
-	for _, p := range chaosRelays {
-		p.Close()
-	}
 
 	// Assemble the report.
 	rep := &Report{
@@ -534,7 +551,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Killed:          int(killed.Load()),
 		Rejoined:        int(rejoined.Load()),
 		Convergence:     conv,
-		Chaos:           map[string]map[string]uint64{TierOrigin: chaosCounts(chaosOrigin)},
+		FaultSpec:       spec,
 	}
 	samplesMu.Lock()
 	rep.LagSeries = samples
@@ -544,13 +561,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	rep.Egress.OriginRequests = originT.Requests()
 	if cfg.Relays > 0 {
 		rep.Tiers = 2
-		relayChaos := make(map[string]uint64)
-		for _, p := range chaosRelays {
-			for class, n := range chaosCounts(p) {
-				relayChaos[class] += n
-			}
-		}
-		rep.Chaos[TierRelay] = relayChaos
 		for i, rt := range relayT {
 			rep.Egress.RelayBytes += rt.Bytes()
 			rep.Egress.RelayRequests += rt.Requests()
@@ -571,7 +581,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		rep.Edges.PersistErrors += n.rep.PersistErrors()
 	}
 	f.mu.Unlock()
-	if cfg.Failpoints != "" {
+	if spec != "" {
 		rep.FailpointTriggers = failpointDelta(fpBase)
 	}
 	return rep, nil
@@ -807,15 +817,6 @@ func (f *fleet) registerMetrics(reg *obs.Registry, originT *HandlerTransport, re
 			}
 			return float64(n)
 		}))
-}
-
-// chaosCounts snapshots a proxy's per-class injection counters.
-func chaosCounts(p *chaos.Proxy) map[string]uint64 {
-	m := make(map[string]uint64, len(chaos.AllFaults))
-	for _, f := range chaos.AllFaults {
-		m[f.String()] = p.InjectedBy(f)
-	}
-	return m
 }
 
 // bootstrapWithRetry bootstraps a replica, retrying transient failures

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -116,7 +117,7 @@ func TestFleetDeterministicForSeed(t *testing.T) {
 	}
 }
 
-// TestFleetChaosAtBothTiers: with every fault class armed at both
+// TestFleetChaosAtBothTiers: with every HTTP action armed at both
 // tiers, the fleet still converges after the wire heals and never
 // swaps an unverified snapshot.
 func TestFleetChaosAtBothTiers(t *testing.T) {
@@ -133,15 +134,32 @@ func TestFleetChaosAtBothTiers(t *testing.T) {
 	if !rep.Converged {
 		t.Fatalf("fleet did not converge after healing: %+v", rep.Convergence)
 	}
-	var originFaults, relayFaults uint64
-	for _, n := range rep.Chaos[TierOrigin] {
-		originFaults += n
-	}
-	for _, n := range rep.Chaos[TierRelay] {
-		relayFaults += n
-	}
+	originFaults, relayFaults := rep.FailpointTriggers[SiteOrigin], rep.FailpointTriggers[SiteRelay]
 	if originFaults == 0 || relayFaults == 0 {
 		t.Fatalf("chaos injected nothing: origin %d relay %d", originFaults, relayFaults)
+	}
+}
+
+// TestFleetRelaysBootstrapBeforeChaos: chaos strikes the running
+// fleet, not its setup. Even at rate 1 on the origin tier the relays
+// bootstrap, the run reports, and it converges once the wire heals.
+func TestFleetRelaysBootstrapBeforeChaos(t *testing.T) {
+	cfg := testConfig()
+	cfg.Edges = 6
+	cfg.ChaosRate = 1
+	cfg.ChaosTiers = []string{TierOrigin}
+	rep, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.UnverifiedSwaps != 0 {
+		t.Fatalf("UnverifiedSwaps = %d under chaos, want 0", rep.UnverifiedSwaps)
+	}
+	if !rep.Converged {
+		t.Fatalf("fleet did not converge after healing: %+v", rep.Convergence)
+	}
+	if rep.FailpointTriggers[SiteOrigin] == 0 {
+		t.Fatalf("chaos at rate 1 injected nothing: %v", rep.FailpointTriggers)
 	}
 }
 
@@ -223,10 +241,15 @@ func TestFleetRejectsCrashFailpoints(t *testing.T) {
 }
 
 // TestFleetMetricsExposition: the per-tier families render and pass the
-// exposition validator.
+// exposition validator, and each tier's exposed fault count is the
+// whole tier's — with two relays, the relay-tier trigger counter moves
+// by exactly what the report counts for the run.
 func TestFleetMetricsExposition(t *testing.T) {
 	cfg := testConfig()
+	cfg.ChaosRate = 0.25
+	cfg.ChaosTiers = []string{TierOrigin, TierRelay}
 	cfg.Metrics = obs.NewRegistry()
+	base := map[string]uint64{SiteOrigin: failpoint.Triggers(SiteOrigin), SiteRelay: failpoint.Triggers(SiteRelay)}
 	rep, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -239,15 +262,30 @@ func TestFleetMetricsExposition(t *testing.T) {
 		`psl_fleet_tier_egress_bytes{tier="origin"}`,
 		`psl_fleet_tier_egress_bytes{tier="relay"}`,
 		"psl_fleet_unverified_swaps_total 0",
-		`psl_chaos_faults_total{tier="origin",class="reset"}`,
 		"psl_dist_origin_requests_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	if _, err := obs.ValidateExposition(strings.NewReader(text)); err != nil {
+	families, err := obs.ValidateExposition(strings.NewReader(text))
+	if err != nil {
 		t.Fatalf("exposition invalid: %v", err)
+	}
+	for _, f := range families {
+		if strings.Contains(f, "chaos") {
+			t.Errorf("exposition has %s; psl_failpoint_triggers_total is the only fault family", f)
+		}
+	}
+	for _, site := range []string{SiteOrigin, SiteRelay} {
+		want := rep.FailpointTriggers[site]
+		if want == 0 {
+			t.Errorf("%s never fired at chaos rate 0.25", site)
+		}
+		line := fmt.Sprintf("psl_failpoint_triggers_total{name=%q} %d", site, base[site]+want)
+		if !strings.Contains(text, line+"\n") {
+			t.Errorf("exposition disagrees with the report's %d %s faults; want line %q", want, site, line)
+		}
 	}
 }
 

@@ -101,19 +101,18 @@ type Report struct {
 	Egress      Egress         `json:"egress"`
 	Edges       Totals         `json:"edge_totals"`
 
-	// Chaos counts faults actually injected, by tier and class. Under
-	// concurrent traffic the seeded RNG's draw order follows request
-	// arrival order, so these are reproducible in distribution but not
-	// byte-stable — they are deliberately absent from DeterministicView.
-	Chaos map[string]map[string]uint64 `json:"chaos_faults"`
+	// FaultSpec is the one failpoint spec the run armed (see
+	// Config.FaultSpec); with Config.Seed it is the run's re-run recipe.
+	FaultSpec string `json:"fault_spec,omitempty"`
 
 	// Compactions is how many multi-step patches the relay tier served.
 	Compactions uint64 `json:"relay_compactions"`
 
-	// FailpointTriggers counts, per site, the storage faults the armed
-	// Config.Failpoints spec actually injected during this run. Like the
-	// chaos counters, the totals follow the edges' poll interleaving —
-	// reproducible in distribution, not byte-stable — so they are
+	// FailpointTriggers counts, per site, the faults FaultSpec actually
+	// injected during this run: storage faults and the fleet.origin /
+	// fleet.relay network faults alike. Under concurrent traffic a
+	// site's draw order follows request arrival order, so the totals are
+	// reproducible in distribution but not byte-stable — they are
 	// deliberately absent from DeterministicView.
 	FailpointTriggers map[string]uint64 `json:"failpoint_triggers,omitempty"`
 }
@@ -122,9 +121,8 @@ type Report struct {
 // across two runs with the same Config (including Seed): the topology,
 // the precomputed schedules, the final head, and the invariants.
 // Timing-dependent observations (lag samples, convergence seconds,
-// retry and
-// chaos counters) are excluded by design — they vary with scheduler
-// interleaving even under a fixed seed.
+// retry and failpoint trigger counters) are excluded by design — they
+// vary with scheduler interleaving even under a fixed seed.
 func (r *Report) DeterministicView() map[string]any {
 	return map[string]any{
 		"config":           r.Config,
@@ -132,6 +130,7 @@ func (r *Report) DeterministicView() map[string]any {
 		"final_head":       r.FinalHead,
 		"converged":        r.Converged,
 		"unverified_swaps": r.UnverifiedSwaps,
+		"fault_spec":       r.FaultSpec,
 		"head_schedule":    append([]int(nil), r.HeadSchedule...),
 		"churn_plan":       append([]ChurnEvent(nil), r.ChurnPlan...),
 		"edges_killed":     r.Killed,

@@ -23,12 +23,13 @@ import (
 // measures true per-tier egress: the transport wrapped directly around
 // a tier's handler sees exactly the bytes that tier served.
 //
-// Handler panics with http.ErrAbortHandler — the idiom the chaos proxy
-// and real net/http servers use to cut a connection — are translated to
-// what a socket client would observe: a transport error when nothing
-// was written yet (connection reset), or a body that delivers the
-// written prefix and then fails with io.ErrUnexpectedEOF (mid-body
-// truncation). Any other panic is a bug in the handler and propagates.
+// Handler panics with http.ErrAbortHandler — the idiom failpoint HTTP
+// sites and real net/http servers use to cut a connection — are
+// translated to what a socket client would observe: a transport error
+// when nothing was written yet (connection reset), or a body that
+// delivers the written prefix and then fails with io.ErrUnexpectedEOF
+// (mid-body truncation). Any other panic is a bug in the handler and
+// propagates.
 type HandlerTransport struct {
 	h     http.Handler
 	reqs  atomic.Uint64
@@ -76,9 +77,29 @@ func (r *recorder) Write(p []byte) (int, error) {
 	return r.buf.Write(p)
 }
 
-// Flush implements http.Flusher; the chaos proxy flushes before
-// aborting a truncated body. Everything is in memory, so it's a no-op.
+// Flush implements http.Flusher; a failpoint truncate flushes before
+// aborting the body. Everything is in memory, so it's a no-op.
 func (r *recorder) Flush() {}
+
+// ServeHTTP runs the wrapped handler in place, metered like RoundTrip,
+// so the transport can meter a tier's own egress beneath handler
+// middleware such as a failpoint site.
+func (t *HandlerTransport) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	t.reqs.Add(1)
+	t.h.ServeHTTP(meteredWriter{w, &t.bytes}, r)
+}
+
+// meteredWriter counts the body bytes written through it.
+type meteredWriter struct {
+	http.ResponseWriter
+	bytes *atomic.Uint64
+}
+
+func (m meteredWriter) Write(p []byte) (int, error) {
+	n, err := m.ResponseWriter.Write(p)
+	m.bytes.Add(uint64(n))
+	return n, err
+}
 
 // errAfter yields err once a wrapped reader is exhausted, modelling a
 // connection cut mid-body.

@@ -51,7 +51,7 @@ func TestRecoverPassesThroughCleanRequests(t *testing.T) {
 }
 
 // TestRecoverRepanicsAbortHandler: ErrAbortHandler is the sanctioned
-// mid-body abort (used by the fetch injector and chaos proxy) and must
+// mid-body abort (used by failpoint HTTP sites) and must
 // flow through untouched, uncounted.
 func TestRecoverRepanicsAbortHandler(t *testing.T) {
 	var m HTTPMetrics

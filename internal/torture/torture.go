@@ -119,7 +119,7 @@ func (c Case) String() string {
 	if c.Err != nil {
 		status = "FAIL: " + c.Err.Error()
 	}
-	return fmt.Sprintf("scenario=%s seed=%d spec=%q %s", c.Scenario, c.FSSeed, c.Spec, status)
+	return fmt.Sprintf("scenario=%s %s %s", c.Scenario, failpoint.Recipe(c.FSSeed, c.Spec), status)
 }
 
 // SiteHits is one enumerated failpoint site and how often the clean
