@@ -143,7 +143,7 @@ func TestOriginServeBlob(t *testing.T) {
 	if status, _, _ := getBody(t, ts.URL+blobPrefix+"5"); status != http.StatusOK {
 		t.Fatalf("re-fetch status %d", status)
 	}
-	if got := o.blobRenders.Load(); got != 1 {
+	if got := o.blobs.renders.Load(); got != 1 {
 		t.Fatalf("blob rendered %d times, want 1", got)
 	}
 
@@ -436,12 +436,12 @@ func TestRelayServesBlob(t *testing.T) {
 		t.Fatalf("relay blob fingerprint diverged")
 	}
 	_ = l
-	if rel.blobRenders.Load() != 1 {
-		t.Fatalf("relay rendered %d blobs, want 1", rel.blobRenders.Load())
+	if rel.blobs.renders.Load() != 1 {
+		t.Fatalf("relay rendered %d blobs, want 1", rel.blobs.renders.Load())
 	}
 	// A second fetch is served from the render cache.
-	if again := edge.FetchMatcherBlob(ctx, seq, fp); again == nil || rel.blobRenders.Load() != 1 {
-		t.Fatalf("relay re-rendered (renders=%d)", rel.blobRenders.Load())
+	if again := edge.FetchMatcherBlob(ctx, seq, fp); again == nil || rel.blobs.renders.Load() != 1 {
+		t.Fatalf("relay re-rendered (renders=%d)", rel.blobs.renders.Load())
 	}
 	// Outside the retained window: 404, counted as a miss at the edge.
 	if pm := edge.FetchMatcherBlob(ctx, 0, o.Chain().Fingerprint(0)); pm != nil {

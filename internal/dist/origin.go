@@ -2,9 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,20 +9,6 @@ import (
 	"repro/internal/history"
 	"repro/internal/obs"
 	"repro/internal/psl"
-)
-
-// HTTP paths the origin serves under Prefix.
-const (
-	// Prefix is the mount point for the distribution API.
-	Prefix = "/dist/"
-	// ManifestPath describes the head version.
-	ManifestPath = Prefix + "manifest"
-	// fullPrefix + "{seq}" serves a full snapshot blob.
-	fullPrefix = Prefix + "full/"
-	// patchPrefix + "{from}/{to}" serves a delta blob.
-	patchPrefix = Prefix + "patch/"
-	// blobPrefix + "{seq}" serves a compiled matcher blob ("PSLM").
-	blobPrefix = Prefix + "blob/"
 )
 
 // Manifest is the origin's head advertisement: which version replicas
@@ -55,48 +38,24 @@ type Manifest struct {
 	PublishedAt time.Time `json:"published_at,omitempty"`
 }
 
-// Origin publishes a history's versions for replication:
-//
-//	GET /dist/manifest           -> JSON Manifest of the head version
-//	GET /dist/full/{seq}         -> full snapshot blob ("PSLF")
-//	GET /dist/patch/{from}/{to}  -> delta blob ("PSLD"), from < to <= head
-//
-// Manifest and full responses carry strong ETags (the rule-set
-// fingerprint) and honour If-None-Match. The head is mutable via
-// SetHead so tests and operators can roll the published version
-// forward; blobs for every version stay available, which is what lets
-// a replica catch up through versions the origin has already passed.
-//
-// Rendering a blob replays event history, so each one is rendered once
-// and cached (the same discipline as fetch.Server's render cache).
+// Origin publishes a history's versions for replication over the
+// /dist/ protocol (see server). Every version up to the head stays
+// available, which is what lets a replica catch up through versions the
+// origin has already passed. The head is mutable via SetHead so tests
+// and operators can roll the published version forward, and Publish
+// appends brand-new versions.
 type Origin struct {
+	server
 	h     *history.History
 	chain *Chain
 	head  atomic.Int64
 	// pub stamps when the current head was published; read back into
 	// the manifest so downstream journals can anchor timelines at the
 	// origin's clock.
-	pub     atomic.Pointer[headStamp]
-	journal *obs.Journal
+	pub atomic.Pointer[headStamp]
 	// pubMu serializes Publish: validate-at-tip, append to history,
 	// extend the chain and advertise must happen as one unit.
 	pubMu sync.Mutex
-
-	patches sync.Map // uint64(from)<<32|to -> *renderedBlob
-	fulls   sync.Map // int -> *renderedBlob
-	blobs   sync.Map // int -> *renderedBlob (compiled matchers)
-
-	manifestReqs, fullReqs, patchReqs obs.Counter
-	patchBytes, fullBytes             obs.Counter
-	patchRenders, fullRenders         obs.Counter
-	notModified                       obs.Counter
-	blobReqs, blobBytes, blobRenders  obs.Counter
-}
-
-type renderedBlob struct {
-	once sync.Once
-	data []byte
-	etag string
 }
 
 // headStamp records when a head seq was published.
@@ -110,6 +69,7 @@ type headStamp struct {
 // once (~1s for the full corpus).
 func NewOrigin(h *history.History) *Origin {
 	o := &Origin{h: h, chain: NewChain(h)}
+	o.src = o
 	o.head.Store(int64(h.Len() - 1))
 	o.pub.Store(&headStamp{seq: h.Len() - 1, at: time.Now()})
 	return o
@@ -216,145 +176,29 @@ func (o *Origin) Manifest() Manifest {
 
 // RegisterMetrics attaches the origin's metric families to a registry.
 func (o *Origin) RegisterMetrics(r *obs.Registry) {
-	r.MustRegister("psl_dist_origin_requests_total", "Distribution requests received, by endpoint.",
-		obs.Labels{{"endpoint", "manifest"}}, &o.manifestReqs)
-	r.MustRegister("psl_dist_origin_requests_total", "Distribution requests received, by endpoint.",
-		obs.Labels{{"endpoint", "full"}}, &o.fullReqs)
-	r.MustRegister("psl_dist_origin_requests_total", "Distribution requests received, by endpoint.",
-		obs.Labels{{"endpoint", "patch"}}, &o.patchReqs)
-	r.MustRegister("psl_dist_origin_bytes_total", "Blob bytes served, by transfer kind.",
-		obs.Labels{{"kind", "patch"}}, &o.patchBytes)
-	r.MustRegister("psl_dist_origin_bytes_total", "Blob bytes served, by transfer kind.",
-		obs.Labels{{"kind", "full"}}, &o.fullBytes)
-	r.MustRegister("psl_dist_origin_renders_total", "Blobs rendered into the cache, by kind.",
-		obs.Labels{{"kind", "patch"}}, &o.patchRenders)
-	r.MustRegister("psl_dist_origin_renders_total", "Blobs rendered into the cache, by kind.",
-		obs.Labels{{"kind", "full"}}, &o.fullRenders)
-	r.MustRegister("psl_dist_origin_not_modified_total", "Conditional requests answered 304 Not Modified.",
-		nil, &o.notModified)
-	r.MustRegister("psl_dist_blob_requests_total", "Compiled matcher blob requests received.",
-		nil, &o.blobReqs)
-	r.MustRegister("psl_dist_blob_bytes_total", "Compiled matcher blob bytes served.",
-		nil, &o.blobBytes)
-	r.MustRegister("psl_dist_blob_renders_total", "Compiled matcher blobs rendered into the cache.",
-		nil, &o.blobRenders)
+	o.register(r, "origin")
 	r.MustRegister("psl_dist_origin_head_seq", "Version sequence currently published as head.",
 		nil, obs.GaugeFunc(func() float64 { return float64(o.Head()) }))
 }
 
-// ServeHTTP implements http.Handler for paths under Prefix.
-func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Path
-	switch {
-	case path == ManifestPath:
-		o.serveManifest(w, r)
-	case strings.HasPrefix(path, fullPrefix):
-		o.serveFull(w, r, strings.TrimPrefix(path, fullPrefix))
-	case strings.HasPrefix(path, patchPrefix):
-		o.servePatch(w, r, strings.TrimPrefix(path, patchPrefix))
-	case strings.HasPrefix(path, blobPrefix):
-		o.serveBlob(w, r, strings.TrimPrefix(path, blobPrefix))
-	default:
-		http.NotFound(w, r)
+// advertise, lookup, span, rules and patch serve every version up to
+// the head.
+func (o *Origin) advertise() (Manifest, bool) { return o.Manifest(), true }
+
+func (o *Origin) lookup(seq int) (snapshot, bool) {
+	if seq > o.Head() {
+		return snapshot{}, false
 	}
+	return snapshot{seq: seq, fp: o.chain.Fingerprint(seq)}, true
 }
 
-func (o *Origin) serveManifest(w http.ResponseWriter, r *http.Request) {
-	o.manifestReqs.Add(1)
-	m := o.Manifest()
-	etag := `"` + m.Fingerprint + `"`
-	if r.Header.Get("If-None-Match") == etag {
-		o.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("ETag", etag)
-	_, _ = w.Write(EncodeManifest(m))
+func (o *Origin) span(from, to int) (snapshot, snapshot, bool) {
+	a, _ := o.lookup(from)
+	b, ok := o.lookup(to)
+	return a, b, ok
 }
 
-func (o *Origin) serveFull(w http.ResponseWriter, r *http.Request, rest string) {
-	o.fullReqs.Add(1)
-	seq, err := strconv.Atoi(rest)
-	if err != nil || seq < 0 || seq > o.Head() {
-		http.NotFound(w, r)
-		return
-	}
-	v, _ := o.fulls.LoadOrStore(seq, &renderedBlob{})
-	rb := v.(*renderedBlob)
-	rb.once.Do(func() {
-		rb.data = EncodeFull(o.h.ListAt(seq), seq)
-		rb.etag = `"` + o.chain.Fingerprint(seq) + `"`
-		o.fullRenders.Add(1)
-		o.journal.Record(seq, obs.StageBlobRendered)
-	})
-	if r.Header.Get("If-None-Match") == rb.etag {
-		o.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("ETag", rb.etag)
-	n, _ := w.Write(rb.data)
-	o.fullBytes.Add(uint64(n))
-}
+// rules replays event history; the server calls it once per render.
+func (o *Origin) rules(s snapshot) *psl.List { return o.h.ListAt(s.seq) }
 
-// serveBlob answers /dist/blob/{seq} with the compiled matcher for that
-// version, wrapped in the "PSLM" envelope. Compiling is the expensive
-// step patch replication exists to amortise, so each version is
-// compiled and marshalled exactly once and the rendered blob cached —
-// the origin pays one compile per version however many replicas pull
-// it, and every replica that trusts the blob pays zero.
-func (o *Origin) serveBlob(w http.ResponseWriter, r *http.Request, rest string) {
-	o.blobReqs.Add(1)
-	seq, err := strconv.Atoi(rest)
-	if err != nil || seq < 0 || seq > o.Head() {
-		http.NotFound(w, r)
-		return
-	}
-	v, _ := o.blobs.LoadOrStore(seq, &renderedBlob{})
-	rb := v.(*renderedBlob)
-	rb.once.Do(func() {
-		fp := o.chain.Fingerprint(seq)
-		pm := psl.NewPackedMatcher(o.h.ListAt(seq))
-		rb.data = EncodeMatcherBlob(seq, fp, pm.Marshal())
-		rb.etag = `"` + fp + `"`
-		o.blobRenders.Add(1)
-		o.journal.Record(seq, obs.StageBlobRendered)
-	})
-	if r.Header.Get("If-None-Match") == rb.etag {
-		o.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("ETag", rb.etag)
-	n, _ := w.Write(rb.data)
-	o.blobBytes.Add(uint64(n))
-}
-
-func (o *Origin) servePatch(w http.ResponseWriter, r *http.Request, rest string) {
-	o.patchReqs.Add(1)
-	fromS, toS, ok := strings.Cut(rest, "/")
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	from, err1 := strconv.Atoi(fromS)
-	to, err2 := strconv.Atoi(toS)
-	if err1 != nil || err2 != nil || from < 0 || from >= to || to > o.Head() {
-		http.NotFound(w, r)
-		return
-	}
-	key := uint64(from)<<32 | uint64(to)
-	v, _ := o.patches.LoadOrStore(key, &renderedBlob{})
-	rb := v.(*renderedBlob)
-	rb.once.Do(func() {
-		rb.data = o.chain.Patch(from, to).Encode()
-		o.patchRenders.Add(1)
-		o.journal.Record(to, obs.StageBlobRendered)
-	})
-	w.Header().Set("Content-Type", "application/octet-stream")
-	n, _ := w.Write(rb.data)
-	o.patchBytes.Add(uint64(n))
-}
+func (o *Origin) patch(from, to snapshot) *Patch { return o.chain.Patch(from.seq, to.seq) }

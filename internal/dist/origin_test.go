@@ -229,13 +229,13 @@ func TestOriginMetricsAndRenderCache(t *testing.T) {
 	}
 	getBody(t, ts.URL+ManifestPath)
 
-	if got := o.patchRenders.Load(); got != 1 {
+	if got := o.patches.renders.Load(); got != 1 {
 		t.Errorf("patch renders = %d, want 1 (cache must absorb repeats)", got)
 	}
-	if got := o.fullRenders.Load(); got != 1 {
+	if got := o.fulls.renders.Load(); got != 1 {
 		t.Errorf("full renders = %d, want 1", got)
 	}
-	if got := o.patchReqs.Load(); got != 3 {
+	if got := o.patches.reqs.Load(); got != 3 {
 		t.Errorf("patch requests = %d, want 3", got)
 	}
 

@@ -1,9 +1,6 @@
 package dist
 
 import (
-	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -26,19 +23,10 @@ func (o RelayOptions) withDefaults() RelayOptions {
 	return o
 }
 
-// relaySnap is one retained verified snapshot. The fingerprint arrived
-// with the blob that produced the list and was verified on install, so
-// the relay never recomputes it.
-type relaySnap struct {
-	list *psl.List
-	seq  int
-	fp   string
-}
-
 // Relay re-serves the /dist/ protocol downstream of a Replica: it
 // follows an upstream origin (or another relay — depth is unbounded),
 // retains a sliding window of the verified snapshots the replica
-// installs, and answers manifest/full/patch requests from that window
+// installs, and answers every /dist/ request from that window
 // so edges fan out without touching the origin.
 //
 // The relay is also where delta compaction lives. Its patch endpoint is
@@ -48,7 +36,10 @@ type relaySnap struct {
 // ordinary "PSLD" patch — wire-format identical to an origin's, pinned
 // by the same verified fingerprint chain — so edges need no new code
 // path to benefit. Compacted spans (to-from > 1) are counted
-// separately.
+// separately. Matcher blobs are likewise compiled from the verified
+// snapshots rather than proxied: they carry the same promise, work when
+// the upstream predates the endpoint, and cost nothing until an edge
+// asks for one.
 //
 // Requests outside the window 404 (a pair the relay skipped past while
 // catching up, or an edge staler than min_seq); an empty window —
@@ -60,24 +51,18 @@ type relaySnap struct {
 // one). ServeHTTP is safe for concurrent use alongside the replica's
 // poll loop.
 type Relay struct {
+	server
 	rep  *Replica
 	opts RelayOptions
 
-	mu   sync.RWMutex
-	ring []relaySnap // ascending seq; at most opts.Retain entries
+	mu sync.RWMutex
+	// ring holds the retained snapshots, ascending seq, at most
+	// opts.Retain of them. Their fingerprints arrived with the blobs
+	// that produced them and were verified on install, so the relay
+	// never recomputes one.
+	ring []snapshot
 
-	patches sync.Map // uint64(from)<<32|to -> *renderedBlob
-	fulls   sync.Map // int -> *renderedBlob
-	blobs   sync.Map // int -> *renderedBlob (compiled matchers)
-
-	manifestReqs, fullReqs, patchReqs obs.Counter
-	patchBytes, fullBytes             obs.Counter
-	patchRenders, fullRenders         obs.Counter
-	compactions                       obs.Counter
-	misses                            obs.Counter
-	unavailable                       obs.Counter
-	notModified                       obs.Counter
-	blobReqs, blobBytes, blobRenders  obs.Counter
+	compactions, misses, unavailable obs.Counter
 }
 
 // NewRelay builds a relay over rep, claiming rep.OnVerified to feed the
@@ -85,9 +70,10 @@ type Relay struct {
 // Call before rep starts Bootstrap or Run.
 func NewRelay(rep *Replica, opts RelayOptions) *Relay {
 	rl := &Relay{rep: rep, opts: opts.withDefaults()}
+	rl.src, rl.journal = rl, rep.opts.Journal
 	prev := rep.OnVerified
 	rep.OnVerified = func(l *psl.List, seq int, fp string) {
-		rl.push(relaySnap{list: l, seq: seq, fp: fp})
+		rl.push(snapshot{list: l, seq: seq, fp: fp})
 		if prev != nil {
 			prev(l, seq, fp)
 		}
@@ -104,12 +90,12 @@ func (rl *Relay) Replica() *Replica { return rl.rep }
 // verified-install path, so a relay resuming from disk calls this to
 // become servable before its first upstream sync.
 func (rl *Relay) Seed(l *psl.List, seq int) {
-	rl.push(relaySnap{list: l, seq: seq, fp: l.Fingerprint()})
+	rl.push(snapshot{list: l, seq: seq, fp: l.Fingerprint()})
 }
 
 // push appends a snapshot to the window, trims it to Retain, and evicts
 // render-cache entries that fell below the new floor.
-func (rl *Relay) push(s relaySnap) {
+func (rl *Relay) push(s snapshot) {
 	rl.mu.Lock()
 	// Keep the ring strictly ascending: a re-install of a seq already
 	// present (or a head rewind in tests) drops the suffix it replaces.
@@ -118,36 +104,16 @@ func (rl *Relay) push(s relaySnap) {
 	}
 	rl.ring = append(rl.ring, s)
 	if len(rl.ring) > rl.opts.Retain {
-		rl.ring = append([]relaySnap(nil), rl.ring[len(rl.ring)-rl.opts.Retain:]...)
+		rl.ring = append([]snapshot(nil), rl.ring[len(rl.ring)-rl.opts.Retain:]...)
 	}
 	floor := rl.ring[0].seq
 	rl.mu.Unlock()
 
-	// Blobs for a given (seq, fingerprint) are immutable, so eviction is
-	// purely about memory: anything referencing a seq below the floor
-	// can never be served again.
-	rl.fulls.Range(func(k, _ any) bool {
-		if k.(int) < floor {
-			rl.fulls.Delete(k)
-		}
-		return true
-	})
-	rl.blobs.Range(func(k, _ any) bool {
-		if k.(int) < floor {
-			rl.blobs.Delete(k)
-		}
-		return true
-	})
-	rl.patches.Range(func(k, _ any) bool {
-		if int(k.(uint64)>>32) < floor {
-			rl.patches.Delete(k)
-		}
-		return true
-	})
+	rl.evictBelow(floor)
 }
 
 // snapAt finds the retained snapshot at exactly seq.
-func (rl *Relay) snapAt(seq int) (relaySnap, bool) {
+func (rl *Relay) snapAt(seq int) (snapshot, bool) {
 	rl.mu.RLock()
 	defer rl.mu.RUnlock()
 	for i := len(rl.ring) - 1; i >= 0; i-- {
@@ -158,16 +124,16 @@ func (rl *Relay) snapAt(seq int) (relaySnap, bool) {
 			break
 		}
 	}
-	return relaySnap{}, false
+	return snapshot{}, false
 }
 
 // window reports the retained [min, head] seq range, ok=false when
 // nothing is retained yet.
-func (rl *Relay) window() (head relaySnap, minSeq int, ok bool) {
+func (rl *Relay) window() (head snapshot, minSeq int, ok bool) {
 	rl.mu.RLock()
 	defer rl.mu.RUnlock()
 	if len(rl.ring) == 0 {
-		return relaySnap{}, 0, false
+		return snapshot{}, 0, false
 	}
 	return rl.ring[len(rl.ring)-1], rl.ring[0].seq, true
 }
@@ -214,34 +180,13 @@ func (rl *Relay) Manifest() (Manifest, bool) {
 // registry. The upstream-facing families are the wrapped replica's —
 // register those separately via Replica().RegisterMetrics.
 func (rl *Relay) RegisterMetrics(r *obs.Registry) {
-	r.MustRegister("psl_dist_relay_requests_total", "Downstream distribution requests received, by endpoint.",
-		obs.Labels{{"endpoint", "manifest"}}, &rl.manifestReqs)
-	r.MustRegister("psl_dist_relay_requests_total", "Downstream distribution requests received, by endpoint.",
-		obs.Labels{{"endpoint", "full"}}, &rl.fullReqs)
-	r.MustRegister("psl_dist_relay_requests_total", "Downstream distribution requests received, by endpoint.",
-		obs.Labels{{"endpoint", "patch"}}, &rl.patchReqs)
-	r.MustRegister("psl_dist_relay_bytes_total", "Blob bytes served downstream, by transfer kind.",
-		obs.Labels{{"kind", "patch"}}, &rl.patchBytes)
-	r.MustRegister("psl_dist_relay_bytes_total", "Blob bytes served downstream, by transfer kind.",
-		obs.Labels{{"kind", "full"}}, &rl.fullBytes)
-	r.MustRegister("psl_dist_relay_renders_total", "Blobs rendered into the cache, by kind.",
-		obs.Labels{{"kind", "patch"}}, &rl.patchRenders)
-	r.MustRegister("psl_dist_relay_renders_total", "Blobs rendered into the cache, by kind.",
-		obs.Labels{{"kind", "full"}}, &rl.fullRenders)
+	rl.register(r, "relay")
 	r.MustRegister("psl_dist_relay_compactions_total", "Patches served that coalesced more than one version step.",
 		nil, &rl.compactions)
 	r.MustRegister("psl_dist_relay_window_misses_total", "Requests for versions outside the retained window.",
 		nil, &rl.misses)
 	r.MustRegister("psl_dist_relay_unavailable_total", "Requests answered 503 before the first verified install.",
 		nil, &rl.unavailable)
-	r.MustRegister("psl_dist_relay_not_modified_total", "Conditional requests answered 304 Not Modified.",
-		nil, &rl.notModified)
-	r.MustRegister("psl_dist_blob_requests_total", "Compiled matcher blob requests received.",
-		nil, &rl.blobReqs)
-	r.MustRegister("psl_dist_blob_bytes_total", "Compiled matcher blob bytes served.",
-		nil, &rl.blobBytes)
-	r.MustRegister("psl_dist_blob_renders_total", "Compiled matcher blobs rendered into the cache.",
-		nil, &rl.blobRenders)
 	r.MustRegister("psl_dist_relay_retained_snapshots", "Verified snapshots currently in the serving window.",
 		nil, obs.GaugeFunc(func() float64 { return float64(rl.Retained()) }))
 	r.MustRegister("psl_dist_relay_head_seq", "Version sequence currently served as head, -1 before the first install.",
@@ -254,157 +199,46 @@ func (rl *Relay) RegisterMetrics(r *obs.Registry) {
 		}))
 }
 
-// ServeHTTP implements http.Handler for paths under Prefix, mirroring
-// the origin's surface.
-func (rl *Relay) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Path
-	switch {
-	case path == ManifestPath:
-		rl.serveManifest(w, r)
-	case strings.HasPrefix(path, fullPrefix):
-		rl.serveFull(w, r, strings.TrimPrefix(path, fullPrefix))
-	case strings.HasPrefix(path, patchPrefix):
-		rl.servePatch(w, r, strings.TrimPrefix(path, patchPrefix))
-	case strings.HasPrefix(path, blobPrefix):
-		rl.serveBlob(w, r, strings.TrimPrefix(path, blobPrefix))
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-func (rl *Relay) serveManifest(w http.ResponseWriter, r *http.Request) {
-	rl.manifestReqs.Add(1)
+// advertise, lookup, span, rules and patch serve the retained window:
+// 503 while it is empty, 404 (and a miss) outside it.
+func (rl *Relay) advertise() (Manifest, bool) {
 	m, ok := rl.Manifest()
 	if !ok {
 		rl.unavailable.Add(1)
-		http.Error(w, "relay has no verified snapshot yet", http.StatusServiceUnavailable)
-		return
 	}
-	etag := `"` + m.Fingerprint + `"`
-	if r.Header.Get("If-None-Match") == etag {
-		rl.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("ETag", etag)
-	_, _ = w.Write(EncodeManifest(m))
+	return m, ok
 }
 
-func (rl *Relay) serveFull(w http.ResponseWriter, r *http.Request, rest string) {
-	rl.fullReqs.Add(1)
-	seq, err := strconv.Atoi(rest)
-	if err != nil || seq < 0 {
-		http.NotFound(w, r)
-		return
-	}
+func (rl *Relay) lookup(seq int) (snapshot, bool) {
 	s, ok := rl.snapAt(seq)
 	if !ok {
 		rl.misses.Add(1)
-		http.NotFound(w, r)
-		return
 	}
-	v, _ := rl.fulls.LoadOrStore(seq, &renderedBlob{})
-	rb := v.(*renderedBlob)
-	rb.once.Do(func() {
-		rb.data = EncodeFull(s.list, s.seq)
-		rb.etag = `"` + s.fp + `"`
-		rl.fullRenders.Add(1)
-		rl.rep.opts.Journal.Record(s.seq, obs.StageBlobRendered)
-	})
-	if r.Header.Get("If-None-Match") == rb.etag {
-		rl.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("ETag", rb.etag)
-	n, _ := w.Write(rb.data)
-	rl.fullBytes.Add(uint64(n))
+	return s, ok
 }
 
-// serveBlob answers /dist/blob/{seq} from the retained window. The
-// relay compiles (and caches) the matcher itself rather than proxying
-// upstream bytes: its snapshots were fingerprint-verified on install,
-// so a locally compiled blob carries exactly the same promise, works
-// even when the upstream predates the endpoint, and is rendered lazily
-// — a relay whose edges never ask for blobs never pays a compile.
-func (rl *Relay) serveBlob(w http.ResponseWriter, r *http.Request, rest string) {
-	rl.blobReqs.Add(1)
-	seq, err := strconv.Atoi(rest)
-	if err != nil || seq < 0 {
-		http.NotFound(w, r)
-		return
-	}
-	s, ok := rl.snapAt(seq)
-	if !ok {
+func (rl *Relay) span(from, to int) (snapshot, snapshot, bool) {
+	a, okA := rl.snapAt(from)
+	b, okB := rl.snapAt(to)
+	if !okA || !okB {
 		rl.misses.Add(1)
-		http.NotFound(w, r)
-		return
+		return a, b, false
 	}
-	v, _ := rl.blobs.LoadOrStore(seq, &renderedBlob{})
-	rb := v.(*renderedBlob)
-	rb.once.Do(func() {
-		pm := psl.NewPackedMatcher(s.list)
-		rb.data = EncodeMatcherBlob(s.seq, s.fp, pm.Marshal())
-		rb.etag = `"` + s.fp + `"`
-		rl.blobRenders.Add(1)
-		rl.rep.opts.Journal.Record(s.seq, obs.StageBlobRendered)
-	})
-	if r.Header.Get("If-None-Match") == rb.etag {
-		rl.notModified.Add(1)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("ETag", rb.etag)
-	n, _ := w.Write(rb.data)
-	rl.blobBytes.Add(uint64(n))
-}
-
-func (rl *Relay) servePatch(w http.ResponseWriter, r *http.Request, rest string) {
-	rl.patchReqs.Add(1)
-	fromS, toS, ok := strings.Cut(rest, "/")
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	from, err1 := strconv.Atoi(fromS)
-	to, err2 := strconv.Atoi(toS)
-	if err1 != nil || err2 != nil || from < 0 || from >= to {
-		http.NotFound(w, r)
-		return
-	}
-	fromSnap, okF := rl.snapAt(from)
-	toSnap, okT := rl.snapAt(to)
-	if !okF || !okT {
-		rl.misses.Add(1)
-		http.NotFound(w, r)
-		return
-	}
-	key := uint64(from)<<32 | uint64(to)
-	v, _ := rl.patches.LoadOrStore(key, &renderedBlob{})
-	rb := v.(*renderedBlob)
-	rb.once.Do(func() {
-		rb.data = rl.compact(fromSnap, toSnap).Encode()
-		rl.patchRenders.Add(1)
-		rl.rep.opts.Journal.Record(toSnap.seq, obs.StageBlobRendered)
-	})
 	if to-from > 1 {
 		rl.compactions.Add(1)
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	n, _ := w.Write(rb.data)
-	rl.patchBytes.Add(uint64(n))
+	return a, b, true
 }
 
-// compact builds the single patch taking the retained snapshot at from
-// to the one at to, however many upstream version steps that spans. The
+func (rl *Relay) rules(s snapshot) *psl.List { return s.list }
+
+// patch builds the single patch taking the retained snapshot at from to
+// the one at to, however many upstream version steps that spans. The
 // endpoints' fingerprints were verified when the snapshots were
 // installed, so the result carries the same chain guarantees as an
 // origin patch over the same range — only the delta is recomputed, by
 // diffing the two rule sets directly.
-func (rl *Relay) compact(from, to relaySnap) *Patch {
+func (rl *Relay) patch(from, to snapshot) *Patch {
 	d := psl.DiffLists(from.list, to.list)
 	return &Patch{
 		FromSeq:   from.seq,

@@ -187,7 +187,6 @@ type Replica struct {
 	curSeq       atomic.Int64
 	headSeq      atomic.Int64
 	manifestETag string
-	headFP       string
 	minSeq       int // oldest seq the upstream can serve patches from
 	depth        atomic.Int32
 
@@ -583,7 +582,6 @@ func (r *Replica) Poll(ctx context.Context) error {
 			return err
 		}
 		r.manifestETag = etag
-		r.headFP = m.Fingerprint
 		r.minSeq = m.MinSeq
 		r.depth.Store(int32(m.Depth))
 		r.headSeq.Store(int64(m.Seq))
@@ -852,7 +850,6 @@ func (r *Replica) Bootstrap(ctx context.Context, fromSeq int) (*psl.List, int, e
 		return nil, 0, err
 	}
 	r.manifestETag = etag
-	r.headFP = m.Fingerprint
 	r.minSeq = m.MinSeq
 	r.depth.Store(int32(m.Depth))
 	r.headSeq.Store(int64(m.Seq))

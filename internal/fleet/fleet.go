@@ -192,6 +192,15 @@ func (c Config) chaosSpec() (string, error) {
 	return strings.Join(terms, ";"), nil
 }
 
+// disarm turns off every site spec names.
+func disarm(spec string) {
+	for _, term := range strings.Split(spec, ";") {
+		if name, _, ok := strings.Cut(term, "="); ok {
+			failpoint.Disarm(strings.TrimSpace(name))
+		}
+	}
+}
+
 // headSchedule precomputes the versions published during the run; the
 // last entry is the deterministic final head.
 func (c Config) headSchedule() []int {
@@ -331,9 +340,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	// Faults: Failpoints are armed before any component is built (sites
 	// register on first arm), the chaos terms once the relay tier is up;
-	// all are disarmed whatever way the run ends. The trigger counters
-	// are global to the process, so the report carries the delta across
-	// this run, not the absolute counts.
+	// all are disarmed whatever way the run ends, and sites the spec does
+	// not name keep whatever state the caller gave them. The trigger
+	// counters are global to the process, so the report carries the delta
+	// across this run, not the absolute counts.
 	spec, err := cfg.FaultSpec()
 	if err != nil {
 		return nil, err
@@ -348,7 +358,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		if err := failpoint.Arm(cfg.Failpoints, cfg.Seed); err != nil {
 			return nil, fmt.Errorf("fleet: failpoints: %w", err)
 		}
-		defer failpoint.DisarmAll()
+		defer disarm(spec)
 		fpBase = failpoint.TriggerCounts()
 	}
 

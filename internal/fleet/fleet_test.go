@@ -240,6 +240,28 @@ func TestFleetRejectsCrashFailpoints(t *testing.T) {
 	}
 }
 
+// TestFleetDisarmsOnlyItsOwnSites: Run disarms the sites its fault spec
+// armed when it ends, and leaves a site the caller armed beforehand as
+// it found it.
+func TestFleetDisarmsOnlyItsOwnSites(t *testing.T) {
+	const callerSite = "fleet.test.caller"
+	if err := failpoint.Arm(callerSite+"=err(1)", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.Disarm(callerSite)
+	cfg := testConfig()
+	cfg.Failpoints = "dist.state.sync=err(0.5)"
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := failpoint.New(callerSite).Inject(); err == nil {
+		t.Errorf("%s was armed before Run and is disarmed after it", callerSite)
+	}
+	if err := failpoint.New("dist.state.sync").Inject(); err != nil {
+		t.Errorf("dist.state.sync still armed after Run: %v", err)
+	}
+}
+
 // TestFleetMetricsExposition: the per-tier families render and pass the
 // exposition validator, and each tier's exposed fault count is the
 // whole tier's — with two relays, the relay-tier trigger counter moves
