@@ -75,13 +75,12 @@ func (c *Chain) AppendEvent(ev history.Event) string {
 // PreviewFingerprint reports the fingerprint the rule set would carry
 // after applying the delta at the current tip, without extending the
 // chain. Origin.Publish uses it to refuse fingerprint-neutral deltas
-// before they enter the event stream.
+// before they enter the event stream. The merge of the tip set and the
+// delta streams into the hash; nothing is copied.
 func (c *Chain) PreviewFingerprint(added, removed []psl.Rule) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rules := append([]psl.Rule(nil), c.live...)
-	rules = applyEvent(rules, history.Event{Added: added, Removed: removed})
-	return psl.FingerprintOfSorted(rules)
+	return psl.FingerprintOf(psl.MergeDiff(c.live, psl.Diff{Added: added, Removed: removed}))
 }
 
 // tipHas reports whether the tip rule set holds r's canonical key. Like

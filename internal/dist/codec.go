@@ -21,7 +21,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/psl"
@@ -153,10 +152,12 @@ func DecodePatch(data []byte) (*Patch, error) {
 // base's known fingerprint in baseFP to skip recomputing it; pass ""
 // to have Apply compute it. Apply verifies base against FromFP before
 // touching anything and the result against ToFP before returning it —
-// on any mismatch it returns ErrFingerprint and no list. The dedup
-// semantics mirror history.ListAt / psl.NewList: adding an
-// already-present key keeps the original rule, removing an absent key
-// is a no-op; such harmless extras change nothing and still verify.
+// on any mismatch it returns ErrFingerprint and no list. The delta
+// applies through psl.List.WithDiff, whose semantics mirror
+// history.ListAt: adding an already-present key keeps the original
+// rule, removing an absent key is a no-op; such harmless extras change
+// nothing and still verify. The result inherits base's canonical order
+// by merge, so verifying ToFP hashes it without a sort.
 func (p *Patch) Apply(base *psl.List, baseFP string) (*psl.List, error) {
 	if baseFP == "" {
 		baseFP = base.Fingerprint()
@@ -165,27 +166,7 @@ func (p *Patch) Apply(base *psl.List, baseFP string) (*psl.List, error) {
 		return nil, fmt.Errorf("%w: base is %.12s…, patch expects %.12s… (seq %d)",
 			ErrFingerprint, baseFP, p.FromFP, p.FromSeq)
 	}
-	drop := make(map[string]bool, len(p.Removed))
-	for _, r := range p.Removed {
-		drop[r.String()] = true
-	}
-	move := make(map[string]psl.Section, len(p.Moved))
-	for _, r := range p.Moved {
-		move[r.String()] = r.Section
-	}
-	rules := make([]psl.Rule, 0, base.Len()+len(p.Added))
-	for _, r := range base.Rules() {
-		k := r.String()
-		if drop[k] {
-			continue
-		}
-		if sec, ok := move[k]; ok {
-			r.Section = sec
-		}
-		rules = append(rules, r)
-	}
-	rules = append(rules, p.Added...)
-	l := psl.NewList(rules) // NewList drops duplicate keys, keeping the first
+	l := base.WithDiff(psl.Diff{Removed: p.Removed, Added: p.Added, Moved: p.Moved})
 	l.Date = p.ToDate
 	l.Version = p.ToVersion
 	if got := l.Fingerprint(); got != p.ToFP {
@@ -215,13 +196,12 @@ type Full struct {
 // version is byte-identical however its list was materialised —
 // replayed from history or rebuilt by applying patches.
 func EncodeFull(l *psl.List, seq int) []byte {
-	rules := append([]psl.Rule(nil), l.Rules()...)
-	sort.Slice(rules, func(i, j int) bool { return psl.CompareRules(rules[i], rules[j]) < 0 })
+	rules := l.SortedRules()
 	buf := make([]byte, 0, 64+32*len(rules))
 	buf = binary.BigEndian.AppendUint32(buf, fullMagic)
 	buf = append(buf, codecVersion)
 	buf = binary.AppendUvarint(buf, uint64(seq))
-	buf = appendFP(buf, psl.FingerprintOfSorted(rules))
+	buf = appendFP(buf, l.Fingerprint())
 	buf = appendTime(buf, l.Date)
 	buf = binary.AppendUvarint(buf, uint64(len(l.Version)))
 	buf = append(buf, l.Version...)
@@ -254,10 +234,17 @@ func DecodeFull(data []byte) (*Full, error) {
 }
 
 // List materialises the snapshot and verifies it against the blob's
-// fingerprint; a mismatch (e.g. a duplicate-collapsed rule set) returns
-// ErrFingerprint.
+// fingerprint. EncodeFull writes rules in strictly ascending
+// psl.CompareRules order, and List adopts that order as the list's
+// canonical one only after checking it, so a list bootstrapped from a
+// blob, and every list derived from it by patches, never sorts. Rules
+// out of order or repeating a key return ErrCorrupt; a rule set that
+// does not hash to the header's fingerprint returns ErrFingerprint.
 func (f *Full) List() (*psl.List, error) {
-	l := psl.NewList(f.Rules)
+	l, err := psl.NewSortedList(f.Rules)
+	if err != nil {
+		return nil, fmt.Errorf("%w: full blob of seq %d: %v", ErrCorrupt, f.Seq, err)
+	}
 	l.Date = f.Date
 	l.Version = f.Version
 	if got := l.Fingerprint(); got != f.FP {

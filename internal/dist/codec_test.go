@@ -180,12 +180,13 @@ func TestFullListDetectsDuplicateCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeFull: %v", err)
 	}
-	// Tamper post-decode: duplicating a rule collapses in NewList, so
-	// the materialised fingerprint no longer matches the header.
+	// Tamper post-decode: a duplicated rule would collapse in the list,
+	// and it breaks the blob's strictly ascending canonical order, which
+	// List checks before adopting it.
 	f.Rules = append(f.Rules, f.Rules[0])
 	f.Rules = append(f.Rules[:1], f.Rules[2:]...)
-	if _, err := f.List(); !errors.Is(err, ErrFingerprint) {
-		t.Fatalf("List on tampered rules err = %v, want ErrFingerprint", err)
+	if _, err := f.List(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("List on tampered rules err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -155,8 +155,8 @@ func FuzzFullRoundTrip(f *testing.F) {
 		}
 		l, err = hf.List()
 		if err != nil {
-			if !errors.Is(err, ErrFingerprint) {
-				t.Fatalf("List error is neither success nor ErrFingerprint: %v", err)
+			if !errors.Is(err, ErrFingerprint) && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("List error is neither success, ErrCorrupt nor ErrFingerprint: %v", err)
 			}
 			return
 		}

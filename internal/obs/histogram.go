@@ -115,8 +115,9 @@ func (h *Histogram) Mean() time.Duration {
 // Quantile estimates the q-quantile (0 <= q <= 1) by linear
 // interpolation inside the bucket the target rank falls into, the same
 // estimate a Prometheus histogram_quantile would produce from the
-// exposition. Observations in the +Inf bucket are attributed the
-// tracked maximum, so Quantile(1) == Max. Returns 0 before any Observe.
+// exposition, capped at the tracked maximum. Observations in the +Inf
+// bucket are attributed that maximum, so Quantile(1) == Max. Returns 0
+// before any Observe.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h == nil {
 		return 0
@@ -159,7 +160,10 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		}
 		upper := h.bounds[i]
 		frac := (target - cum) / float64(n)
-		return time.Duration((lower + (upper-lower)*frac) * float64(time.Second))
+		// Interpolation spreads the bucket's observations up to its
+		// bound, past the largest one actually seen; no quantile
+		// exceeds the maximum.
+		return min(time.Duration((lower+(upper-lower)*frac)*float64(time.Second)), h.Max())
 	}
 	return h.Max()
 }

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"hash"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -27,6 +30,11 @@ type List struct {
 	rules []Rule
 	// index of rule by canonical string, for set operations.
 	byKey map[string]int
+	// the rules in CompareRules order; see (*List).SortedRules. NewList
+	// sorts them on first use; WithDiff and NewSortedList set them at
+	// construction, so a list derived by deltas never sorts.
+	sortedOnce sync.Once
+	sorted     []Rule
 	// lazily compiled matcher; see (*List).Matcher.
 	matcherOnce sync.Once
 	matcher     *PackedMatcher
@@ -60,6 +68,28 @@ func NewList(rules []Rule) *List {
 	return l
 }
 
+// NewSortedList builds a List from rules that are already in strictly
+// ascending CompareRules order (so free of duplicate keys), adopting
+// that order as the canonical one without sorting. Rules out of order
+// or repeating a key are refused with an error wrapping
+// ErrNotCanonical. The dist codec builds lists from full snapshot blobs
+// this way.
+func NewSortedList(rules []Rule) (*List, error) {
+	for i := 1; i < len(rules); i++ {
+		if compareRules(rules[i-1], rules[i]) >= 0 {
+			return nil, fmt.Errorf("%w: rule %d (%s) does not sort after rule %d (%s)",
+				ErrNotCanonical, i, rules[i], i-1, rules[i-1])
+		}
+	}
+	l := NewList(rules)
+	l.sortedOnce.Do(func() { l.sorted = l.rules })
+	return l, nil
+}
+
+// ErrNotCanonical is wrapped by NewSortedList when its rules are not in
+// strictly ascending CompareRules order.
+var ErrNotCanonical = errors.New("psl: rules not in canonical order")
+
 // Len reports the number of rules, the quantity the paper's Figure 2
 // tracks over time.
 func (l *List) Len() int { return len(l.rules) }
@@ -67,6 +97,18 @@ func (l *List) Len() int { return len(l.rules) }
 // Rules returns the rules in first-seen order. The slice is shared; do
 // not modify it.
 func (l *List) Rules() []Rule { return l.rules }
+
+// SortedRules returns the rules in canonical CompareRules order, the
+// order Serialize, Fingerprint and the dist codec emit. A list from
+// NewList sorts a copy once, on first use; lists from NewSortedList and
+// WithDiff already hold it. The slice is shared; do not modify it.
+func (l *List) SortedRules() []Rule {
+	l.sortedOnce.Do(func() {
+		l.sorted = slices.Clone(l.rules)
+		slices.SortFunc(l.sorted, compareRules)
+	})
+	return l.sorted
+}
 
 // Contains reports whether the exact rule (including wildcard/exception
 // markers) is present.
@@ -196,28 +238,28 @@ func (l *List) WriteTo(w io.Writer) (int64, error) {
 		{SectionPrivate, beginPrivate, endPrivate},
 		{SectionUnknown, "", ""},
 	}
+	sorted := l.SortedRules()
+	var line []byte
 	for _, s := range sections {
-		var rules []Rule
-		for _, r := range l.rules {
-			if r.Section == s.sec {
-				rules = append(rules, r)
+		open := false
+		for _, r := range sorted {
+			if r.Section != s.sec {
+				continue
 			}
-		}
-		if len(rules) == 0 {
-			continue
-		}
-		sort.Slice(rules, func(i, j int) bool { return compareRules(rules[i], rules[j]) < 0 })
-		if s.begin != "" {
-			if err := write(s.begin + "\n"); err != nil {
+			if !open && s.begin != "" {
+				if err := write(s.begin + "\n"); err != nil {
+					return n, err
+				}
+			}
+			open = true
+			line = append(appendRule(line[:0], r), '\n')
+			m, err := bw.Write(line)
+			n += int64(m)
+			if err != nil {
 				return n, err
 			}
 		}
-		for _, r := range rules {
-			if err := write(r.String() + "\n"); err != nil {
-				return n, err
-			}
-		}
-		if s.end != "" {
+		if open && s.end != "" {
 			if err := write(s.end + "\n"); err != nil {
 				return n, err
 			}
@@ -242,12 +284,7 @@ func (l *List) Serialize() string {
 // the scanner uses this for exact version identification. The rules
 // are immutable, so it is computed once per list and memoised.
 func (l *List) Fingerprint() string {
-	l.fpOnce.Do(func() {
-		rules := make([]Rule, len(l.rules))
-		copy(rules, l.rules)
-		sort.Slice(rules, func(i, j int) bool { return compareRules(rules[i], rules[j]) < 0 })
-		l.fp = FingerprintOfSorted(rules)
-	})
+	l.fpOnce.Do(func() { l.fp = FingerprintOfSorted(l.SortedRules()) })
 	return l.fp
 }
 
@@ -255,13 +292,54 @@ func (l *List) Fingerprint() string {
 // for a rule slice that is already in CompareRules order, without copying
 // or re-sorting. Callers that maintain a canonically sorted set (the dist
 // version chain) use it to fingerprint every history version in one pass.
+// Its allocations do not depend on the number of rules.
 func FingerprintOfSorted(rules []Rule) string {
-	h := sha256.New()
+	h := newRuleHash()
 	for _, r := range rules {
-		io.WriteString(h, r.String())
-		h.Write([]byte{'\n'})
+		h.add(r)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return h.sum()
+}
+
+// FingerprintOf is FingerprintOfSorted over a sequence of rules yielded
+// in CompareRules order, such as MergeDiff's, so a derived rule set can
+// be fingerprinted without materialising it.
+func FingerprintOf(rules func(yield func(Rule) bool)) string {
+	h := newRuleHash()
+	rules(func(r Rule) bool {
+		h.add(r)
+		return true
+	})
+	return h.sum()
+}
+
+// ruleHash streams rule lines into SHA-256 through one reused buffer.
+type ruleHash struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// ruleHashFlush is the buffered byte count at which add hands the
+// buffer to the hash.
+const ruleHashFlush = 4096
+
+func newRuleHash() *ruleHash {
+	return &ruleHash{h: sha256.New(), buf: make([]byte, 0, ruleHashFlush+512)}
+}
+
+// add hashes one rule line: the rule in list-file syntax and a newline.
+func (rh *ruleHash) add(r Rule) {
+	rh.buf = append(appendRule(rh.buf, r), '\n')
+	if len(rh.buf) >= ruleHashFlush {
+		rh.h.Write(rh.buf)
+		rh.buf = rh.buf[:0]
+	}
+}
+
+func (rh *ruleHash) sum() string {
+	rh.h.Write(rh.buf)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(rh.h.Sum(sum[:0]))
 }
 
 // Equal reports whether two lists contain exactly the same rules
@@ -289,32 +367,141 @@ func (l *List) Clone() *List {
 // WithRules returns a new list with the given rules added (duplicates
 // ignored), preserving metadata. The receiver is unchanged.
 func (l *List) WithRules(add ...Rule) *List {
-	rules := make([]Rule, 0, len(l.rules)+len(add))
-	rules = append(rules, l.rules...)
-	rules = append(rules, add...)
-	c := NewList(rules)
-	c.Date = l.Date
-	c.Version = l.Version
-	return c
+	return l.WithDiff(Diff{Added: add})
 }
 
 // WithoutRules returns a new list with the given rules removed,
 // preserving metadata. The receiver is unchanged.
 func (l *List) WithoutRules(remove ...Rule) *List {
-	drop := make(map[string]bool, len(remove))
-	for _, r := range remove {
-		drop[r.String()] = true
-	}
-	rules := make([]Rule, 0, len(l.rules))
-	for _, r := range l.rules {
-		if !drop[r.String()] {
-			rules = append(rules, r)
+	return l.WithDiff(Diff{Removed: remove})
+}
+
+// WithDiff returns the list d takes the receiver to, preserving
+// metadata; the receiver is unchanged. Removals apply first: a rule in
+// d.Removed is dropped (an absent one is ignored), a surviving rule
+// named in d.Moved takes that entry's Section (the last entry for a
+// key wins), and a rule in d.Added is appended unless its key survives
+// (the first entry for a key wins). A removed and re-added key ends up
+// at the end, carrying the added rule's Section. These are the
+// semantics of history.ListAt's replay and of NewList's dedup.
+//
+// The result's canonical order comes from merging the receiver's with
+// the delta (MergeDiff), never from a sort, so a list derived by any
+// chain of deltas from a bootstrapped one sorts nothing.
+func (l *List) WithDiff(d Diff) *List {
+	rules := make([]Rule, 0, len(l.rules)+len(d.Added))
+	rules = append(rules, l.rules...)
+	for _, r := range d.Moved {
+		if i, ok := l.byKey[r.String()]; ok {
+			rules[i].Section = r.Section
 		}
 	}
-	c := NewList(rules)
+	if len(d.Removed) > 0 {
+		drop := make(map[int]bool, len(d.Removed))
+		for _, r := range d.Removed {
+			if i, ok := l.byKey[r.String()]; ok {
+				drop[i] = true
+			}
+		}
+		kept := rules[:0]
+		for i, r := range rules {
+			if !drop[i] {
+				kept = append(kept, r)
+			}
+		}
+		rules = kept
+	}
+	c := NewList(append(rules, d.Added...)) // NewList drops keys already present
+	sorted := make([]Rule, 0, len(c.rules))
+	MergeDiff(l.SortedRules(), d)(func(r Rule) bool {
+		sorted = append(sorted, r)
+		return true
+	})
+	c.sortedOnce.Do(func() { c.sorted = sorted })
 	c.Date = l.Date
 	c.Version = l.Version
 	return c
+}
+
+// MergeDiff returns the sequence of rules WithDiff's result holds,
+// in CompareRules order, for base in that order: base is walked once
+// and the delta spliced in, so the cost is linear in base plus a sort
+// of the delta. The delta's order is not trusted: each of its slices is
+// used as-is when strictly ascending and otherwise sorted in a copy.
+// The sequence may be consumed any number of times.
+func MergeDiff(base []Rule, d Diff) func(yield func(Rule) bool) {
+	removed := sortedDelta(d.Removed, false)
+	added := sortedDelta(d.Added, false)
+	moved := sortedDelta(d.Moved, true)
+	return func(yield func(Rule) bool) {
+		i, ri, ai, mi := 0, 0, 0, 0
+		emit := func(to int) bool {
+			for ; i < to; i++ {
+				if !yield(base[i]) {
+					return false
+				}
+			}
+			return true
+		}
+		for ri < len(removed) || ai < len(added) || mi < len(moved) {
+			// The next key the delta touches, and which slices hold it.
+			var key Rule
+			ok := false
+			for _, rest := range [...][]Rule{removed[ri:], added[ai:], moved[mi:]} {
+				if len(rest) > 0 && (!ok || compareRules(rest[0], key) < 0) {
+					key, ok = rest[0], true
+				}
+			}
+			take := func(rules []Rule, at *int) (Rule, bool) {
+				if *at < len(rules) && compareRules(rules[*at], key) == 0 {
+					*at++
+					return rules[*at-1], true
+				}
+				return Rule{}, false
+			}
+			_, isRemoved := take(removed, &ri)
+			a, isAdded := take(added, &ai)
+			m, isMoved := take(moved, &mi)
+
+			at, found := slices.BinarySearchFunc(base[i:], key, compareRules)
+			if !emit(i + at) {
+				return
+			}
+			out, keep := a, isAdded // an absent or removed key: the addition, if any
+			if found {
+				if !isRemoved {
+					out, keep = base[i], true
+					if isMoved {
+						out.Section = m.Section
+					}
+				}
+				i++
+			}
+			if keep && !yield(out) {
+				return
+			}
+		}
+		emit(len(base))
+	}
+}
+
+// sortedDelta returns rules in strictly ascending CompareRules order:
+// rules itself when already so, otherwise a sorted copy keeping one
+// rule per key, the first given or, with keepLast, the last.
+func sortedDelta(rules []Rule, keepLast bool) []Rule {
+	ascending := true
+	for i := 1; i < len(rules) && ascending; i++ {
+		ascending = compareRules(rules[i-1], rules[i]) < 0
+	}
+	if ascending {
+		return rules
+	}
+	s := slices.Clone(rules)
+	if keepLast {
+		slices.Reverse(s)
+	}
+	slices.SortStableFunc(s, compareRules)
+	return slices.CompactFunc(s, func(a, b Rule) bool { return compareRules(a, b) == 0 })
 }
 
 // Diff describes the rule-set delta from an old version to a new one.

@@ -117,6 +117,18 @@ func (r Rule) String() string {
 	}
 }
 
+// appendRule appends the rule in list-file syntax, as String renders
+// it, without allocating a string.
+func appendRule(b []byte, r Rule) []byte {
+	switch {
+	case r.Exception:
+		b = append(b, '!')
+	case r.Wildcard:
+		b = append(b, "*."...)
+	}
+	return append(b, r.Suffix...)
+}
+
 // Unicode renders the rule with IDN labels in their U-label (Unicode)
 // form, the way publicsuffix.org displays rules like 政府.hk. ASCII
 // rules render unchanged.

@@ -652,12 +652,8 @@ func (p *Pipeline) runLint(req Request, old *psl.List) (added, removed []psl.Rul
 	// Lint the would-be list; only findings attributable to the changed
 	// rules count against the submission (pre-existing list warts must
 	// not block an innocent change).
-	next = old.WithoutRules(removed...).WithRules(added...)
-	fs, err := psl.LintString(next.Serialize())
-	if err != nil {
-		return nil, nil, nil, p.verdict(StageLint, false, "lint failed to run: "+err.Error(), nil)
-	}
-	for _, f := range fs {
+	next = old.WithDiff(psl.Diff{Removed: removed, Added: added})
+	for _, f := range next.Lint() {
 		if f.Severity >= psl.SeverityWarning && changedKeys[f.Rule] {
 			findings = append(findings, f.String())
 		}
