@@ -6,10 +6,17 @@
 package repro
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -278,6 +285,102 @@ func BenchmarkServeLookupParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchBatchSize is the row count of one batch in the batch-vs-single
+// bars below.
+const benchBatchSize = 256
+
+// medianNs sorts ds and returns its middle value in nanoseconds. The
+// batch-vs-single bars judge per-iteration medians, so a preemption or
+// GC pause that lands on one side cannot decide a bar.
+func medianNs(ds []time.Duration) float64 {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return float64(ds[len(ds)/2].Nanoseconds())
+}
+
+// BenchmarkBatchRowVsSingle is a perf bar: a warm cached LookupBatch
+// row must cost no more than 1.15x a cached single Lookup. Each
+// iteration times one 256-row batch and the same 256 hosts as single
+// lookups, so host load hits both sides alike. Both sides are dominated
+// by the same cache probe; the 15% margin absorbs timer noise while
+// still tripping on a real per-row cost such as one allocation.
+func BenchmarkBatchRowVsSingle(b *testing.B) {
+	svc, hosts := serveEnv(b)
+	hosts = hosts[:benchBatchSize]
+	dst := svc.LookupBatch(hosts, nil) // warm: every measured row is a cache hit
+	batch, single := make([]time.Duration, b.N), make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		dst = svc.LookupBatch(hosts, dst[:0])
+		t1 := time.Now()
+		for _, h := range hosts {
+			_, _ = svc.Lookup(h)
+		}
+		batch[i], single[i] = t1.Sub(t0), time.Since(t1)
+	}
+	b.StopTimer()
+	rowNs, singleNs := medianNs(batch)/benchBatchSize, medianNs(single)/benchBatchSize
+	b.ReportMetric(rowNs, "batch_ns/row")
+	b.ReportMetric(singleNs, "single_ns/lookup")
+	// The framework's one-iteration probe run is too short to judge.
+	if b.N > 1 && rowNs > 1.15*singleNs {
+		b.Fatalf("a batch row costs %.1f ns, more than 1.15x a cached single lookup (%.1f ns)", rowNs, singleNs)
+	}
+}
+
+// BenchmarkHTTPBatchVsSingle is a perf bar: one 256-row binary POST to
+// /v1/batch must deliver at least 3x the rows/s of single /v1/lookup
+// GETs on the same keep-alive connection. Each iteration times one
+// batch and one single GET, so host load hits both sides alike.
+func BenchmarkHTTPBatchVsSingle(b *testing.B) {
+	svc, hosts := serveEnv(b)
+	hosts = hosts[:benchBatchSize]
+	srv := httptest.NewServer(svc)
+	defer srv.Close()
+	client := srv.Client()
+	payload, err := serve.EncodeBatchRequest(hosts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	urls := make([]string, len(hosts))
+	for i, h := range hosts {
+		urls[i] = srv.URL + serve.LookupPath + "?host=" + url.QueryEscape(h)
+	}
+	drain := func(resp *http.Response, err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	post := func() (*http.Response, error) {
+		return client.Post(srv.URL+serve.BatchPath, serve.BatchBinaryContentType, bytes.NewReader(payload))
+	}
+	drain(post()) // warm the connection and every row's cache entry
+	batch, single := make([]time.Duration, b.N), make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		drain(post())
+		t1 := time.Now()
+		drain(client.Get(urls[i%len(urls)]))
+		batch[i], single[i] = t1.Sub(t0), time.Since(t1)
+	}
+	b.StopTimer()
+	batchRows := benchBatchSize * 1e9 / medianNs(batch)
+	singleReqs := 1e9 / medianNs(single)
+	b.ReportMetric(batchRows, "batch_rows/s")
+	b.ReportMetric(singleReqs, "single_reqs/s")
+	b.ReportMetric(batchRows/singleReqs, "batch/single_ratio")
+	// The framework's one-iteration probe run is too short to judge.
+	if b.N > 1 && batchRows < 3*singleReqs {
+		b.Fatalf("HTTP batch delivers %.0f rows/s, less than 3x single requests (%.0f reqs/s)", batchRows, singleReqs)
+	}
 }
 
 // --- write path -------------------------------------------------------

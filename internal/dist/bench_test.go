@@ -10,8 +10,8 @@ import (
 // BenchmarkPatchChain prices the delta-distribution ablation: following
 // the full default history hop by hop via patches versus re-fetching a
 // full snapshot blob per version. The reported custom metrics feed the
-// EXPERIMENTS.md ablation row and BENCH_matchers.json; the benchmark is
-// meaningful at -benchtime=1x (one iteration prices the whole chain).
+// EXPERIMENTS.md ablation row; the benchmark is meaningful at
+// -benchtime=1x (one iteration prices the whole chain).
 func BenchmarkPatchChain(b *testing.B) {
 	h := history.Generate(history.Config{Seed: history.DefaultSeed})
 	b.ResetTimer()

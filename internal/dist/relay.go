@@ -93,10 +93,10 @@ func (rl *Relay) Seed(l *psl.List, seq int) {
 	rl.push(snapshot{list: l, seq: seq, fp: l.Fingerprint()})
 }
 
-// push appends a snapshot to the window, trims it to Retain, and evicts
-// render-cache entries that fell below the new floor.
+// push appends a snapshot to the window and trims it to Retain.
 func (rl *Relay) push(s snapshot) {
 	rl.mu.Lock()
+	defer rl.mu.Unlock()
 	// Keep the ring strictly ascending: a re-install of a seq already
 	// present (or a head rewind in tests) drops the suffix it replaces.
 	for len(rl.ring) > 0 && rl.ring[len(rl.ring)-1].seq >= s.seq {
@@ -106,10 +106,6 @@ func (rl *Relay) push(s snapshot) {
 	if len(rl.ring) > rl.opts.Retain {
 		rl.ring = append([]snapshot(nil), rl.ring[len(rl.ring)-rl.opts.Retain:]...)
 	}
-	floor := rl.ring[0].seq
-	rl.mu.Unlock()
-
-	rl.evictBelow(floor)
 }
 
 // snapAt finds the retained snapshot at exactly seq.

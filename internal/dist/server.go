@@ -40,7 +40,8 @@ const (
 //
 // Every blob is rendered once per (kind, span) and cached: an origin's
 // render replays event history and a blob render compiles a matcher,
-// so a tier pays each once however many downstreams pull it.
+// so a tier pays each once however many downstreams pull it. Each
+// kind's cache keeps the renderCacheCap spans it added last.
 type server struct {
 	src     source
 	journal *obs.Journal
@@ -76,9 +77,20 @@ type snapshot struct {
 	fp   string
 }
 
-// endpoint is one blob kind's render cache and counters.
+// renderCacheCap bounds each endpoint's render cache. Any client can
+// ask an origin for any span, and a matcher blob at the generated head
+// is ~730 KB, so an unbounded cache grows with what clients ask for.
+// Blobs are immutable, so a span evicted and asked for again renders
+// byte-identical; downstreams pull spans near the head, which are the
+// entries added last.
+const renderCacheCap = 32
+
+// endpoint is one blob kind's render cache and counters. The cache
+// evicts oldest-first: order lists its keys by insertion.
 type endpoint struct {
-	cache                sync.Map // cacheKey -> *renderedBlob
+	mu                   sync.Mutex
+	cache                map[cacheKey]*renderedBlob
+	order                []cacheKey
 	reqs, bytes, renders obs.Counter
 }
 
@@ -174,8 +186,21 @@ func (s *server) servePatch(w http.ResponseWriter, r *http.Request, rest string)
 // render returns the cached blob for key, rendering it on first use
 // and journalling "blob_rendered" against the version it reaches.
 func (s *server) render(e *endpoint, key cacheKey, fn func() []byte) []byte {
-	c, _ := e.cache.LoadOrStore(key, &renderedBlob{})
-	rb := c.(*renderedBlob)
+	e.mu.Lock()
+	rb, ok := e.cache[key]
+	if !ok {
+		if e.cache == nil {
+			e.cache = make(map[cacheKey]*renderedBlob, renderCacheCap)
+		}
+		if len(e.order) == renderCacheCap {
+			delete(e.cache, e.order[0])
+			e.order = e.order[1:]
+		}
+		rb = &renderedBlob{}
+		e.cache[key] = rb
+		e.order = append(e.order, key)
+	}
+	e.mu.Unlock()
 	rb.once.Do(func() {
 		rb.data = fn()
 		e.renders.Add(1)
@@ -192,20 +217,6 @@ func (s *server) fresh(w http.ResponseWriter, r *http.Request, etag string) bool
 	s.notModified.Add(1)
 	w.WriteHeader(http.StatusNotModified)
 	return true
-}
-
-// evictBelow drops cached blobs that start below floor. Blobs are
-// immutable, so this only frees memory a sliding window can never serve
-// again.
-func (s *server) evictBelow(floor int) {
-	for _, e := range []*endpoint{&s.fulls, &s.patches, &s.blobs} {
-		e.cache.Range(func(k, _ any) bool {
-			if k.(cacheKey).from < floor {
-				e.cache.Delete(k)
-			}
-			return true
-		})
-	}
 }
 
 func parseSeq(s string) (int, bool) {

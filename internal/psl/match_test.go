@@ -257,9 +257,13 @@ func BenchmarkPackedCompile9k(b *testing.B) {
 	l := benchList(b, 9000)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var m *PackedMatcher
 	for i := 0; i < b.N; i++ {
-		NewPackedMatcher(l)
+		m = NewPackedMatcher(l)
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(m.Marshal())), "blob_bytes")
+	b.ReportMetric(float64(m.SizeBytes()), "table_bytes")
 }
 
 func BenchmarkSite(b *testing.B) {

@@ -17,8 +17,8 @@ func TestServiceMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	svc.RegisterMetrics(reg)
 
-	// One miss, then hits; one invalid host; one versioned lookup (which
-	// exercises the compile cache); one swap.
+	// One miss, then hits; one invalid host; one versioned lookup and
+	// one SetVersion, each compiling a version; one swap.
 	if _, err := svc.Lookup("www.example.com"); err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,9 @@ func TestServiceMetricsExposition(t *testing.T) {
 		"psl_serve_lookup_duration_seconds_bucket",
 		"psl_serve_cache_bytes",
 		"psl_serve_inflight_requests 0",
-		"psl_compile_total",
-		"psl_compile_duration_seconds_count",
+		"psl_compile_total 2",
+		"psl_compile_duration_seconds_count 2",
+		"psl_compile_cache_entries 2",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("exposition missing %q\n%s", want, doc)
@@ -58,14 +59,14 @@ func TestServiceMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestServiceVersionedLookupCompileOnce pins the compile-cache wiring:
-// repeated versioned lookups of the same version, plus a SetVersion to
-// it, must compile that version exactly once.
+// TestServiceVersionedLookupCompileOnce pins the versioned-lookup
+// cache: repeated versioned lookups of the same version, plus a
+// SetVersion to it, must compile that version exactly once.
 func TestServiceVersionedLookupCompileOnce(t *testing.T) {
 	h := history.Generate(history.Config{Seed: history.DefaultSeed, Versions: 12})
 	svc := NewFromHistory(h, h.Len()-1, Options{})
-	if svc.compiled == nil {
-		t.Fatal("default service has no compile cache")
+	if got := svc.compiles.Load(); got != 0 {
+		t.Fatalf("%d versions compiled before any versioned lookup", got)
 	}
 	for i := 0; i < 4; i++ {
 		if _, err := svc.LookupAt("www.example.com", 5); err != nil {
@@ -75,7 +76,7 @@ func TestServiceVersionedLookupCompileOnce(t *testing.T) {
 	if err := svc.SetVersion(5); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.compiled.Compiles(); got != 1 {
+	if got := svc.compiles.Load(); got != 1 {
 		t.Errorf("version 5 compiled %d times, want 1", got)
 	}
 	// SetVersion must still bump the swap generation.
@@ -84,6 +85,36 @@ func TestServiceVersionedLookupCompileOnce(t *testing.T) {
 	}
 	if svc.Current().Seq != 5 {
 		t.Errorf("current seq = %d, want 5", svc.Current().Seq)
+	}
+}
+
+// TestServiceVersionCacheFIFOBound: the versioned-lookup cache holds at
+// most versionCacheSize snapshots, evicts oldest-first, and a version
+// requested again after eviction compiles again and answers alike.
+func TestServiceVersionCacheFIFOBound(t *testing.T) {
+	h := history.Generate(history.Config{Seed: history.DefaultSeed, Versions: 12})
+	svc := NewFromHistory(h, h.Len()-1, Options{})
+	first, err := svc.LookupAt("a.b.co.uk", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := 1; seq <= versionCacheSize; seq++ { // evicts 0
+		if _, err := svc.LookupAt("a.b.co.uk", seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(svc.versionSnaps); n != versionCacheSize {
+		t.Fatalf("cache holds %d versions, want %d", n, versionCacheSize)
+	}
+	again, err := svc.LookupAt("a.b.co.uk", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Fatalf("recompiled version 0 answers %+v, first compile %+v", again, first)
+	}
+	if got, want := svc.compiles.Load(), uint64(versionCacheSize+2); got != want {
+		t.Fatalf("compiles = %d, want %d (each version once, plus version 0 again)", got, want)
 	}
 }
 

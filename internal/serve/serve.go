@@ -36,9 +36,6 @@ type Options struct {
 	// History, when set, enables versioned lookups (?version=N) and
 	// SetVersion, serving any historical list version on demand.
 	History *history.History
-	// VersionCacheSize bounds how many historical snapshots are kept
-	// materialised for ?version=N lookups. <= 0 selects 8.
-	VersionCacheSize int
 	// DisableMetrics turns off latency instrumentation (the lookup
 	// counters stay on — they predate the metrics layer and are part of
 	// CacheStats). Exists so BenchmarkServeLookupInstrumented can
@@ -52,6 +49,10 @@ const DefaultMaxInFlight = 256
 
 // DefaultMaxBatch is the default row bound of one /v1/batch request.
 const DefaultMaxBatch = 8192
+
+// versionCacheSize bounds how many historical snapshots are kept
+// materialised for ?version=N lookups.
+const versionCacheSize = 8
 
 // hitSampleEvery is the cache-hit latency sampling period: one in every
 // hitSampleEvery hits arms end-to-end timing for the following lookup.
@@ -140,15 +141,13 @@ type Service struct {
 	// admission semaphore for /v1/lookup.
 	tokens chan struct{}
 
-	// compiled amortises matcher compilation for ?version=N lookups
-	// over the shared history compile cache; nil without a History.
-	compiled *history.CompileCache
-
 	// bounded cache of materialised historical snapshots for
-	// ?version=N lookups.
-	versionMu    sync.Mutex
-	versionSnaps map[int]*Snapshot
-	versionOrder []int
+	// ?version=N lookups; each miss compiles one version.
+	versionMu       sync.Mutex
+	versionSnaps    map[int]*Snapshot
+	versionOrder    []int
+	compiles        obs.Counter
+	compileDuration *obs.Histogram
 
 	mux   http.Handler
 	start time.Time
@@ -182,14 +181,12 @@ func newService(opts Options) *Service {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = DefaultMaxBatch
 	}
-	if opts.VersionCacheSize <= 0 {
-		opts.VersionCacheSize = 8
-	}
 	s := &Service{
-		opts:         opts,
-		tokens:       make(chan struct{}, opts.MaxInFlight),
-		versionSnaps: make(map[int]*Snapshot),
-		start:        time.Now(),
+		opts:            opts,
+		tokens:          make(chan struct{}, opts.MaxInFlight),
+		versionSnaps:    make(map[int]*Snapshot),
+		compileDuration: obs.NewHistogram(nil),
+		start:           time.Now(),
 	}
 	if !opts.DisableMetrics {
 		s.m = &timing{
@@ -197,9 +194,6 @@ func newService(opts Options) *Service {
 			miss:  obs.NewHistogram(nil),
 			batch: obs.NewHistogram(nil),
 		}
-	}
-	if opts.History != nil {
-		s.compiled = history.NewCompileCache(opts.History, opts.VersionCacheSize)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(LookupPath, s.handleLookup)
@@ -287,9 +281,8 @@ func NewFromHistory(h *history.History, seq int, opts Options) *Service {
 // RegisterMetrics attaches the service's metric families to a registry
 // (DESIGN.md §10 naming): lookup counters and latency histograms
 // labelled by result, swap/age/rules snapshot telemetry,
-// cache occupancy, and admission-control counters and gauges. When the
-// service runs versioned lookups over a compile cache, that cache's
-// families are registered too.
+// cache occupancy, and admission-control counters and gauges. A service
+// with a History also registers its versioned-lookup compile families.
 func (s *Service) RegisterMetrics(r *obs.Registry) {
 	r.MustRegister("psl_serve_lookups_total", "Lookups by result (hit/miss against the answer cache, error for invalid hosts).",
 		obs.Labels{{"result", "hit"}}, &s.hits)
@@ -340,8 +333,15 @@ func (s *Service) RegisterMetrics(r *obs.Registry) {
 		obs.Labels{{"source", "blob"}}, &s.blobInstalls)
 	r.MustRegister("psl_serve_matcher_installs_total", "Snapshot matcher installs by provenance (compile, blob, reuse).",
 		obs.Labels{{"source", "reuse"}}, &s.reuseInstalls)
-	if s.compiled != nil {
-		s.compiled.RegisterMetrics(r)
+	if s.opts.History != nil {
+		r.MustRegister("psl_compile_total", "List versions compiled into packed matchers.", nil, &s.compiles)
+		r.MustRegister("psl_compile_duration_seconds", "Wall time to materialise and compile one list version.", nil, s.compileDuration)
+		r.MustRegister("psl_compile_cache_entries", "Compiled versions currently retained.", nil,
+			obs.GaugeFunc(func() float64 {
+				s.versionMu.Lock()
+				defer s.versionMu.Unlock()
+				return float64(len(s.versionSnaps))
+			}))
 	}
 }
 
@@ -419,7 +419,7 @@ func (s *Service) MatcherInstalls() (compile, blob, reuse uint64) {
 }
 
 // SetVersion materialises and installs history version seq. It errors
-// without a configured history or for an out-of-range seq. The matcher
+// without a configured history or for an out-of-range seq. The snapshot
 // comes from the versioned-lookup cache, so flipping between recently
 // served versions does not recompile.
 func (s *Service) SetVersion(seq int) error {
@@ -519,18 +519,19 @@ func (s *Service) LookupAt(host string, seq int) (Answer, error) {
 }
 
 // versionSnapshot returns a materialised snapshot of history version
-// seq, keeping a small FIFO-bounded cache of recently used versions.
-// Compilation goes through the shared history compile cache so
-// SetVersion and LookupAt never compile one version twice.
+// seq, keeping a small FIFO-bounded cache of recently used versions, so
+// SetVersion and LookupAt compile a cached version only once.
 func (s *Service) versionSnapshot(seq int) *Snapshot {
 	s.versionMu.Lock()
 	defer s.versionMu.Unlock()
 	if snap, ok := s.versionSnaps[seq]; ok {
 		return snap
 	}
-	l, m := s.compiled.Get(seq)
-	snap := NewSnapshotWith(l, seq, m)
-	for len(s.versionOrder) >= s.opts.VersionCacheSize {
+	t0 := time.Now()
+	snap := NewSnapshot(s.opts.History.ListAt(seq), seq)
+	s.compiles.Add(1)
+	s.compileDuration.Observe(time.Since(t0))
+	for len(s.versionOrder) >= versionCacheSize {
 		old := s.versionOrder[0]
 		s.versionOrder = s.versionOrder[1:]
 		delete(s.versionSnaps, old)
