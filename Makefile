@@ -42,8 +42,8 @@ torture:
 bench:
 	go test -run '^$$' -bench . -benchmem ./internal/psl/ .
 
-# The CI perf gate: fails when a cached batch row costs more than 1.15x
-# a cached single lookup, or one 256-row HTTP batch delivers less than
+# The CI perf gate: fails when a batch row costs more than 1.15x a
+# single lookup, or one 256-row HTTP batch delivers less than
 # 3x the rows/s of single lookups. Pass -cpu 1,2,4,8 for a GOMAXPROCS
 # matrix.
 bench-scaling:

@@ -14,7 +14,7 @@
 //	POST /v1/batch                     batched lookups, one snapshot per
 //	                                   batch (NDJSON or binary framing)
 //	GET /v1/version                    current list version metadata
-//	GET /healthz                       liveness, cache and admission stats
+//	GET /healthz                       liveness and admission stats
 //	GET /metrics                       Prometheus text exposition
 //	GET /dist/manifest                 origin head descriptor (JSON)
 //	GET /dist/full/S                   full snapshot blob of version S

@@ -140,8 +140,8 @@ func TestSmokeEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(hb), `"status":"ok"`) {
 		t.Errorf("healthz: %s %s", resp.Status, hb)
 	}
-	if !strings.Contains(string(hb), `"cache_hits"`) || !strings.Contains(string(hb), `"cache_misses"`) {
-		t.Errorf("healthz missing cache counters: %s", hb)
+	if !strings.Contains(string(hb), `"admitted"`) || strings.Contains(string(hb), `"cache_`) {
+		t.Errorf("healthz wants admission counters and no cache fields: %s", hb)
 	}
 
 	// Unknown path 404s through the raw-list server.
@@ -295,8 +295,6 @@ var requiredFamilies = []string{
 	"psl_serve_swaps_total",
 	"psl_serve_snapshot_age_seconds",
 	"psl_serve_snapshot_rules",
-	"psl_serve_cache_entries",
-	"psl_serve_cache_bytes",
 	"psl_serve_inflight_requests",
 	"psl_serve_admitted_total",
 	"psl_serve_rejected_total",
@@ -372,8 +370,8 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("/metrics exposes %s; psl_failpoint_triggers_total is the only fault family", f)
 		}
 	}
-	if !bytes.Contains(body, []byte(`psl_serve_lookups_total{result="hit"} 1`)) {
-		t.Errorf("hit counter did not move:\n%s", body)
+	if !bytes.Contains(body, []byte(`psl_serve_lookups_total{result="ok"} 2`)) {
+		t.Errorf("ok counter did not count both lookups:\n%s", body)
 	}
 }
 

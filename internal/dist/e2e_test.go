@@ -163,8 +163,8 @@ func TestE2EReplicationFullHistory(t *testing.T) {
 	}
 	cancel()
 	<-runDone
-	t.Logf("e2e: %d lookups (%d cached), %d patch hops, %d full syncs, %d retries in %v",
-		res.Lookups, res.Cached, rep.Applied(), rep.Fallbacks(), rep.Retries(), res.Elapsed)
+	t.Logf("e2e: %d lookups, %d patch hops, %d full syncs, %d retries in %v",
+		res.Lookups, rep.Applied(), rep.Fallbacks(), rep.Retries(), res.Elapsed)
 }
 
 // TestE2EReplicationWithFailureInjection repeats the sweep with ~35% of

@@ -33,6 +33,13 @@ var fpList = failpoint.NewHTTP("fetch.list")
 // the upstream layout.
 const ListPath = "/list/public_suffix_list.dat"
 
+// renderCacheCap bounds the render cache. A rendered version is ~66 KB
+// and any client can ask for any of them, so an unbounded cache grows
+// with what clients walk. Rendering is deterministic, so a version
+// evicted and asked for again renders byte-identical, with the same
+// ETag.
+const renderCacheCap = 32
+
 // renderedVersion is one list version serialized once and reused by
 // every request: body bytes, strong ETag and Last-Modified time. The
 // once gate makes concurrent first requests for a version render it a
@@ -70,16 +77,19 @@ type Server struct {
 	renderHits  obs.Counter
 	notModified obs.Counter
 
-	// rendered caches each version's serialized body and validators;
-	// materialising a version replays the whole event history, so
-	// doing it once per version (not once per request) is what lets
-	// the server sustain concurrent load.
-	rendered sync.Map // int -> *renderedVersion
+	// rendered caches the serialized body and validators of the last
+	// renderCacheCap versions asked for, evicting oldest-first: order
+	// lists its keys by insertion. Materialising a version replays the
+	// whole event history, so doing it once per version (not once per
+	// request) is what lets the server sustain concurrent load.
+	mu       sync.Mutex
+	rendered map[int]*renderedVersion
+	order    []int
 }
 
 // NewServer creates a server initially publishing the newest version.
 func NewServer(h *history.History) *Server {
-	s := &Server{h: h}
+	s := &Server{h: h, rendered: make(map[int]*renderedVersion, renderCacheCap)}
 	s.inner = fpList.Wrap(http.HandlerFunc(s.serve))
 	s.current.Store(int64(h.Len() - 1))
 	return s
@@ -121,8 +131,18 @@ func (s *Server) RegisterMetrics(r *obs.Registry) {
 // render returns the cached serialization of version seq, building it
 // on first use.
 func (s *Server) render(seq int) *renderedVersion {
-	v, _ := s.rendered.LoadOrStore(seq, &renderedVersion{})
-	rv := v.(*renderedVersion)
+	s.mu.Lock()
+	rv, ok := s.rendered[seq]
+	if !ok {
+		if len(s.order) == renderCacheCap {
+			delete(s.rendered, s.order[0])
+			s.order = s.order[1:]
+		}
+		rv = &renderedVersion{}
+		s.rendered[seq] = rv
+		s.order = append(s.order, seq)
+	}
+	s.mu.Unlock()
 	filled := false
 	rv.once.Do(func() {
 		l := s.h.ListAt(seq)

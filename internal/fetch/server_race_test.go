@@ -166,3 +166,42 @@ func TestServerCurrentAccessor(t *testing.T) {
 		t.Errorf("Current() = %d after SetCurrent(5)", got)
 	}
 }
+
+// TestServerRenderCacheBounded: a server asked for more distinct
+// versions than renderCacheCap, twice over, keeps at most
+// renderCacheCap rendered versions, evicts oldest-first (so the cyclic
+// second pass renders every version again), and answers every request
+// with the body and ETag a fresh server renders for it.
+func TestServerRenderCacheBounded(t *testing.T) {
+	const versions = renderCacheCap + 8
+	get := func(s *Server, seq int) (string, string) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v/"+strconv.Itoa(seq), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/v/%d: status %d", seq, rec.Code)
+		}
+		return rec.Header().Get("ETag"), rec.Body.String()
+	}
+	fresh := NewServer(testHistory)
+	wantETag, wantBody := make([]string, versions), make([]string, versions)
+	for seq := range wantBody {
+		wantETag[seq], wantBody[seq] = get(fresh, seq)
+	}
+	s := NewServer(testHistory)
+	for pass := 0; pass < 2; pass++ {
+		for seq := 0; seq < versions; seq++ {
+			if etag, body := get(s, seq); etag != wantETag[seq] || body != wantBody[seq] {
+				t.Fatalf("pass %d /v/%d: body or ETag differs from a fresh render", pass, seq)
+			}
+			s.mu.Lock()
+			n, m := len(s.rendered), len(s.order)
+			s.mu.Unlock()
+			if n > renderCacheCap || n != m {
+				t.Fatalf("pass %d /v/%d: cache holds %d versions (%d ordered), cap %d", pass, seq, n, m, renderCacheCap)
+			}
+		}
+	}
+	if got := s.renders.Load(); got != 2*versions {
+		t.Errorf("%d renders for %d distinct versions requested twice, want %d", got, versions, 2*versions)
+	}
+}

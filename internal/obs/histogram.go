@@ -8,7 +8,7 @@ import (
 
 // DefaultLatencyBuckets are the standard duration bucket upper bounds,
 // in seconds: a 1–2.5–5 progression from 100 ns to 2.5 s. The low end
-// resolves a cached in-process lookup (~100 ns); the high end covers a
+// resolves an in-process lookup (a few hundred ns); the high end covers a
 // slow HTTP round trip. Everything above the last bound lands in the
 // implicit +Inf bucket.
 var DefaultLatencyBuckets = []float64{

@@ -61,6 +61,10 @@ type PackedMatcher struct {
 	arena string
 	// rules is the decoded rule table; entries view into arena.
 	rules []Rule
+	// texts holds each rule in list-file syntax, rendered once at
+	// decode (a normal rule's text is its Suffix), so MatchText hands
+	// out the prevailing rule's text without allocating.
+	texts []string
 
 	nRules, nNodes int
 	mask           int  // capacity - 1
@@ -349,14 +353,16 @@ func NewPackedMatcher(l *List) *PackedMatcher {
 	}
 
 	pm.arena = string(arena)
-	pm.rules = decodeRules(pm.ruleRecs, pm.nRules, pm.arena)
+	pm.rules, pm.texts = decodeRules(pm.ruleRecs, pm.nRules, pm.arena)
 	return pm
 }
 
-// decodeRules materialises the rule table from the rule records; each
-// Suffix is a zero-copy slice of the arena.
-func decodeRules(recs []uint32, nRules int, arena string) []Rule {
+// decodeRules materialises the rule table from the rule records, each
+// Suffix a zero-copy slice of the arena, together with every rule's
+// list-file text (see PackedMatcher.texts).
+func decodeRules(recs []uint32, nRules int, arena string) ([]Rule, []string) {
 	rules := make([]Rule, nRules)
+	texts := make([]string, nRules)
 	for ri := 0; ri < nRules; ri++ {
 		w := ri * ruleWords
 		off, ln, kind := recs[w], recs[w+1], recs[w+2]
@@ -366,8 +372,9 @@ func decodeRules(recs []uint32, nRules int, arena string) []Rule {
 			Exception: kind&packedRuleException != 0,
 			Section:   Section(kind >> packedRuleSection & 3),
 		}
+		texts[ri] = rules[ri].String()
 	}
-	return rules
+	return rules, texts
 }
 
 // Match implements Matcher. It probes one slot chain per label of the
@@ -375,9 +382,36 @@ func decodeRules(recs []uint32, nRules int, arena string) []Rule {
 // reads the deepest hit's precomputed result — no rule logic runs at
 // lookup time, and nothing allocates.
 func (pm *PackedMatcher) Match(name string) Result {
+	r := pm.match(name)
+	if ref := r & packedRefMask; ref != 0 {
+		return Result{SuffixLabels: int(r >> packedRefBits), Rule: pm.rules[ref-1]}
+	}
+	return Result{SuffixLabels: int(r >> packedRefBits), Implicit: true}
+}
+
+// MatchText is Match that also returns the prevailing rule in
+// list-file syntax, exactly as Rule.String renders it, or "" for an
+// implicit result. The text is held per compiled rule, so this
+// allocates nothing where Rule.String allocates for every wildcard and
+// exception rule.
+func (pm *PackedMatcher) MatchText(name string) (Result, string) {
+	r := pm.match(name)
+	if ref := r & packedRefMask; ref != 0 {
+		return Result{SuffixLabels: int(r >> packedRefBits), Rule: pm.rules[ref-1]}, pm.texts[ref-1]
+	}
+	return Result{SuffixLabels: int(r >> packedRefBits), Implicit: true}, ""
+}
+
+// implicitResult is the packed result of the implicit "*" rule: no rule
+// reference, one suffix label.
+const implicitResult = 1 << packedRefBits
+
+// match walks the name and returns the deepest hit's packed result
+// (one half of its refs word).
+func (pm *PackedMatcher) match(name string) uint32 {
 	table := pm.table
 	if len(table) == 0 {
-		return Result{SuffixLabels: 1, Implicit: true}
+		return implicitResult
 	}
 	n := len(name)
 	wbase := n - 8
@@ -457,17 +491,13 @@ func (pm *PackedMatcher) Match(name string) Result {
 		i = j
 	}
 	if lastB < 0 {
-		return Result{SuffixLabels: 1, Implicit: true}
+		return implicitResult
 	}
 	refs := table[lastB+3]
-	r := uint32(refs >> 32) // the name extends past the hit node...
 	if lastJ < 0 {
-		r = uint32(refs) // ...unless it ended exactly there
+		return uint32(refs) // the name ended exactly at the hit node...
 	}
-	if ref := r & packedRefMask; ref != 0 {
-		return Result{SuffixLabels: int(r >> packedRefBits), Rule: pm.rules[ref-1]}
-	}
-	return Result{SuffixLabels: int(r >> packedRefBits), Implicit: true}
+	return uint32(refs >> 32) // ...or extends past it
 }
 
 // Len reports the number of compiled rules.
@@ -598,7 +628,7 @@ func UnmarshalPackedMatcher(data []byte) (*PackedMatcher, error) {
 	if err := pm.validate(); err != nil {
 		return nil, err
 	}
-	pm.rules = decodeRules(recs, nRules, arena)
+	pm.rules, pm.texts = decodeRules(recs, nRules, arena)
 	return pm, nil
 }
 

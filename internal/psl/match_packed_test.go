@@ -174,6 +174,40 @@ func TestPackedMatchZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { pm.Match(name) }); n != 0 {
 			t.Errorf("packed Match(%q) allocates %.1f/op, want 0", name, n)
 		}
+		if n := testing.AllocsPerRun(200, func() { pm.MatchText(name) }); n != 0 {
+			t.Errorf("packed MatchText(%q) allocates %.1f/op, want 0", name, n)
+		}
+	}
+}
+
+// TestPackedMatchText pins MatchText to Match and its text to
+// Rule.String, for compiled and unmarshalled matchers, over every rule
+// shape and the implicit result.
+func TestPackedMatchText(t *testing.T) {
+	l := fixture(t)
+	pm := NewPackedMatcher(l)
+	back, err := UnmarshalPackedMatcher(pm.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{
+		"a.b.example.com", "www.city.kobe.jp", "b.c.kobe.jp", "www.ck", "www.www.ck",
+		"deep.unlisted.zone.name", "alice.blogspot.com", "xn--85x722f.xn--55qx5d.cn",
+	}
+	for _, m := range []*PackedMatcher{pm, back} {
+		for _, name := range names {
+			res, text := m.MatchText(name)
+			if want := m.Match(name); res != want {
+				t.Errorf("MatchText(%q) = %+v, Match says %+v", name, res, want)
+			}
+			want := ""
+			if !res.Implicit {
+				want = res.Rule.String()
+			}
+			if text != want {
+				t.Errorf("MatchText(%q) text %q, want %q", name, text, want)
+			}
+		}
 	}
 }
 

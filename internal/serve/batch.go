@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -18,51 +19,40 @@ import (
 // stack — the striped lookup counters are touched once per batch, not
 // once per row, which removes the last shared-cache-line traffic from
 // the steady-state hot loop. Row answers are appended to a pooled
-// buffer with a hand-rolled JSON encoder, so a cached row allocates
-// nothing.
+// buffer with a hand-rolled JSON encoder, so a row with a canonical
+// host allocates nothing.
 
 // batchTally accumulates per-row results locally during one batch; it
 // is flushed with one Add per counter when the batch completes.
 type batchTally struct {
-	hits, misses, errs uint64
+	oks, errs uint64
 }
 
 // flush publishes the tally to the batch row counters.
 func (s *Service) flushBatchTally(t *batchTally) {
-	if t.hits > 0 {
-		s.batchRowHits.Add(t.hits)
-	}
-	if t.misses > 0 {
-		s.batchRowMiss.Add(t.misses)
+	if t.oks > 0 {
+		s.batchRowOKs.Add(t.oks)
 	}
 	if t.errs > 0 {
 		s.batchRowErrs.Add(t.errs)
 	}
 }
 
-// resolveBatchRow answers one row against the pinned state. The host
-// arrives as a byte view into the request buffer; on a cache hit it is
-// never materialised as a string. Invalid hosts fail only their own row
-// — the answer carries the error and the row tallies as an error.
-func (s *Service) resolveBatchRow(st *state, host []byte, t *batchTally) Answer {
-	if a, ok := st.cache.GetBytes(host); ok {
-		t.hits++
-		a.Cached = true
-		return a
-	}
-	hs := string(host)
-	a, err := st.snap.Resolve(hs)
+// resolveBatchRow answers one row against the pinned state. Invalid
+// hosts fail only their own row — the answer carries the error and the
+// row tallies as an error.
+func (s *Service) resolveBatchRow(st *state, host string, t *batchTally) Answer {
+	a, err := st.snap.Resolve(host)
 	if err != nil {
 		t.errs++
 		return Answer{
-			Query:   hs,
+			Query:   host,
 			Version: st.snap.List.Version,
 			Seq:     st.snap.Seq,
 			Error:   err.Error(),
 		}
 	}
-	t.misses++
-	st.cache.Put(hs, a)
+	t.oks++
 	return a
 }
 
@@ -81,36 +71,13 @@ func (s *Service) LookupBatch(hosts []string, dst []Answer) []Answer {
 	s.noteServed(st)
 	var tally batchTally
 	for _, h := range hosts {
-		dst = append(dst, s.resolveBatchRowString(st, h, &tally))
+		dst = append(dst, s.resolveBatchRow(st, h, &tally))
 	}
 	s.flushBatchTally(&tally)
 	if s.m != nil {
 		s.m.batch.Observe(time.Since(t0))
 	}
 	return dst
-}
-
-// resolveBatchRowString is resolveBatchRow for hosts already held as
-// strings (the in-process LookupBatch API).
-func (s *Service) resolveBatchRowString(st *state, host string, t *batchTally) Answer {
-	if a, ok := st.cache.Get(host); ok {
-		t.hits++
-		a.Cached = true
-		return a
-	}
-	a, err := st.snap.Resolve(host)
-	if err != nil {
-		t.errs++
-		return Answer{
-			Query:   host,
-			Version: st.snap.List.Version,
-			Seq:     st.snap.Seq,
-			Error:   err.Error(),
-		}
-	}
-	t.misses++
-	st.cache.Put(host, a)
-	return a
 }
 
 // handleBatch serves POST /v1/batch. NDJSON mode (the default) reads
@@ -244,6 +211,11 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 // appendBatchRow answers one row and appends its JSON encoding to dst.
 // Hosts that are not valid UTF-8 are answered with an error row (the
 // JSON encoder requires valid UTF-8 strings).
+//
+// host is a view into the request buffer, and the row resolves it
+// without a copy: every string in the answer may alias that buffer.
+// This is safe only because the answer is encoded here, before the
+// buffer is reused, and never leaves this frame — keep it that way.
 func (s *Service) appendBatchRow(dst []byte, st *state, host []byte, t *batchTally) []byte {
 	if !utf8.Valid(host) {
 		t.errs++
@@ -254,7 +226,7 @@ func (s *Service) appendBatchRow(dst []byte, st *state, host []byte, t *batchTal
 		}
 		return appendAnswerJSON(dst, &a)
 	}
-	a := s.resolveBatchRow(st, host, t)
+	a := s.resolveBatchRow(st, unsafe.String(unsafe.SliceData(host), len(host)), t)
 	return appendAnswerJSON(dst, &a)
 }
 
@@ -370,9 +342,6 @@ func appendAnswerJSON(dst []byte, a *Answer) []byte {
 	dst = appendJSONString(dst, a.Version)
 	dst = append(dst, `,"seq":`...)
 	dst = strconv.AppendInt(dst, int64(a.Seq), 10)
-	if a.Cached {
-		dst = append(dst, `,"cached":true`...)
-	}
 	if a.Error != "" {
 		dst = append(dst, `,"error":`...)
 		dst = appendJSONString(dst, a.Error)

@@ -21,15 +21,15 @@ func (w *nullResponseWriter) Header() http.Header         { return w.h }
 func (w *nullResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *nullResponseWriter) WriteHeader(int)             {}
 
-// TestBatchCachedRowsZeroAllocWithMiddleware is the batch-path
-// allocation guard: once the cache is warm and the scratch pools are
-// grown, adding rows to a batch must add ZERO allocations — the
-// per-row hot loop is one map probe, one struct copy and an append
+// TestBatchRowsZeroAllocWithMiddleware is the batch-path allocation
+// guard: once the scratch pools are grown, adding rows of canonical
+// hosts to a batch must add ZERO allocations — each row resolves a view
+// into the request buffer without copying it and appends its answer
 // into pooled buffers. Fixed per-request costs (request construction,
 // middleware wrappers, headers) are factored out by measuring two
 // batch sizes and requiring the marginal cost of the extra rows to be
 // exactly zero, with the production middleware stack installed.
-func TestBatchCachedRowsZeroAllocWithMiddleware(t *testing.T) {
+func TestBatchRowsZeroAllocWithMiddleware(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector, so marginal allocation counts are noise; the guard asserts in the non-race run")
 	}
@@ -63,34 +63,44 @@ func TestBatchCachedRowsZeroAllocWithMiddleware(t *testing.T) {
 		wrapped.ServeHTTP(w, req)
 	}
 
-	// Warm the cache and grow the pooled scratch buffers to the large
-	// batch's working-set size.
-	for i := 0; i < 8; i++ {
-		serve(payloadLarge)
+	// Grow the pooled scratch buffers to the large batch's working-set
+	// size, and check they got there: a pool still handing out small
+	// buffers would charge their growth to the extra rows.
+	rec := httptest.NewRecorder()
+	wrapped.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, BatchPath, bytes.NewReader(payloadLarge)))
+	outLen := rec.Body.Len()
+	pooled := func() bool {
+		sc := batchScratchPool.Get().(*batchScratch)
+		defer batchScratchPool.Put(sc)
+		return cap(sc.body) >= len(payloadLarge) && cap(sc.out) >= outLen
 	}
-	if hits := svc.batchRowHits.Load(); hits < large*6 {
-		t.Fatalf("warmup did not reach cached steady state: %d hits", hits)
+	warm := false
+	for i := 0; i < 16 && !warm; i++ {
+		serve(payloadLarge)
+		warm = i >= 7 && pooled()
+	}
+	if !warm {
+		t.Fatalf("warmup did not leave a pooled scratch of %d body and %d response bytes", len(payloadLarge), outLen)
 	}
 
 	aSmall := testing.AllocsPerRun(100, func() { serve(payloadSmall) })
 	aLarge := testing.AllocsPerRun(100, func() { serve(payloadLarge) })
 	if marginal := aLarge - aSmall; marginal != 0 {
-		t.Errorf("adding %d cached rows to a batch allocates %.1f extra allocs (batch %d: %.1f, batch %d: %.1f), want 0",
+		t.Errorf("adding %d rows to a batch allocates %.1f extra allocs (batch %d: %.1f, batch %d: %.1f), want 0",
 			large-small, marginal, small, aSmall, large, aLarge)
 	}
 }
 
-// TestLookupBatchCachedZeroAllocPerRow pins the in-process API the same
-// way: with a warm cache and a pre-sized destination slice, per-row
-// cost is zero allocations.
-func TestLookupBatchCachedZeroAllocPerRow(t *testing.T) {
+// TestLookupBatchZeroAllocPerRow pins the in-process API the same way:
+// with canonical hosts and a pre-sized destination slice, per-row cost
+// is zero allocations.
+func TestLookupBatchZeroAllocPerRow(t *testing.T) {
 	svc := New(fixture(t), -1, Options{})
-	hosts := []string{"www.example.com", "b.c.kobe.jp", "a.example.co.uk", "gov.uk"}
-	svc.LookupBatch(hosts, nil) // warm
+	hosts := []string{"www.example.com", "b.c.kobe.jp", "a.example.co.uk", "gov.uk", "www.www.ck"}
 	dst := make([]Answer, 0, len(hosts))
 	if n := testing.AllocsPerRun(200, func() {
 		dst = svc.LookupBatch(hosts, dst[:0])
 	}); n != 0 {
-		t.Errorf("cached LookupBatch allocates %.1f/op, want 0", n)
+		t.Errorf("LookupBatch allocates %.1f/op, want 0", n)
 	}
 }

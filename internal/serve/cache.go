@@ -5,21 +5,18 @@ import (
 	"sync/atomic"
 )
 
-// cacheShards is the number of independently locked cache segments. 64
-// keeps lock contention negligible at the concurrency levels the stress
-// harness drives (hundreds of clients) while staying cheap to allocate
-// on every snapshot swap.
+// cacheShards is the number of independently locked cache segments.
 const cacheShards = 64
 
-// DefaultCacheSize is the default total entry bound of a lookup cache.
+// DefaultCacheSize is the default total entry bound of a Cache.
 const DefaultCacheSize = 1 << 16
 
-// Cache is a sharded lookup cache mapping normalized-or-raw host
-// queries to complete Answers. A cache belongs to exactly one snapshot:
-// the Service swaps in a fresh empty cache together with every new
-// snapshot, which makes invalidation trivial and keeps cached answers
-// trivially consistent with the version that produced them. Hit/miss
-// counters live on the Service so they survive swaps.
+// Cache is a sharded answer cache mapping host queries to complete
+// Answers. Nothing in the serving path uses it: every lookup and batch
+// row runs Snapshot.Resolve directly, which is cheaper than a probe
+// plus insert over hosts that rarely repeat. Its only user is the
+// serve.cache layer of perfbench (perfbench/layers.go), which prices a
+// probe; the type goes when that layer does.
 type Cache struct {
 	shards   [cacheShards]cacheShard
 	maxShard int
@@ -65,24 +62,6 @@ func (c *Cache) Get(key string) (Answer, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
 	a, ok := s.m[key]
-	s.mu.RUnlock()
-	return a, ok
-}
-
-// GetBytes is Get for a key still held as bytes (the batch NDJSON
-// scanner hands out views into its read buffer). The map probe uses the
-// compiler's string(key) lookup optimisation, so a hit costs zero
-// allocations — the key is only materialised as a string on the miss
-// path, where Put needs an owned copy anyway.
-func (c *Cache) GetBytes(key []byte) (Answer, bool) {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	s := &c.shards[h%cacheShards]
-	s.mu.RLock()
-	a, ok := s.m[string(key)]
 	s.mu.RUnlock()
 	return a, ok
 }

@@ -130,3 +130,14 @@ func TestCacheBytesOverwrite(t *testing.T) {
 		t.Errorf("Len = %d, want 1", c.Len())
 	}
 }
+
+// TestCacheBound checks the cache never exceeds its configured bound.
+func TestCacheBound(t *testing.T) {
+	c := NewCache(cacheShards) // one entry per shard
+	for i := 0; i < 10*cacheShards; i++ {
+		c.Put(fmt.Sprintf("host%d.example.com", i), Answer{})
+	}
+	if c.Len() > cacheShards {
+		t.Errorf("cache grew to %d entries, bound %d", c.Len(), cacheShards)
+	}
+}

@@ -71,8 +71,6 @@ type Result struct {
 	Errors int64
 	// Mismatches counts answers the Verify oracle rejected.
 	Mismatches int64
-	// Cached counts answers served from the lookup cache.
-	Cached int64
 	// Swaps counts completed snapshot swaps.
 	Swaps int64
 	// FirstMismatch records the first oracle rejection, if any.
@@ -104,7 +102,6 @@ type Summary struct {
 	Lookups        int64          `json:"lookups"`
 	Errors         int64          `json:"errors"`
 	Mismatches     int64          `json:"mismatches"`
-	Cached         int64          `json:"cached"`
 	Swaps          int64          `json:"swaps"`
 	ElapsedSeconds float64        `json:"elapsed_seconds"`
 	LookupsPerSec  float64        `json:"lookups_per_sec"`
@@ -117,7 +114,6 @@ func (r *Result) Summary() Summary {
 		Lookups:        r.Lookups,
 		Errors:         r.Errors,
 		Mismatches:     r.Mismatches,
-		Cached:         r.Cached,
 		Swaps:          r.Swaps,
 		ElapsedSeconds: r.Elapsed.Seconds(),
 		Latency: LatencySummary{
@@ -212,9 +208,6 @@ func Run(cfg Config) Result {
 					atomic.AddInt64(&res.Errors, 1)
 					errOnce.Do(func() { res.FirstError = err })
 					continue
-				}
-				if a.Cached {
-					atomic.AddInt64(&res.Cached, 1)
 				}
 				if cfg.Verify != nil {
 					if verr := cfg.Verify(a); verr != nil {

@@ -58,7 +58,7 @@ func TestWriteJSONSummary(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, buf.String())
 	}
-	for _, key := range []string{"lookups", "errors", "mismatches", "cached", "swaps", "elapsed_seconds", "lookups_per_sec", "latency"} {
+	for _, key := range []string{"lookups", "errors", "mismatches", "swaps", "elapsed_seconds", "lookups_per_sec", "latency"} {
 		if _, ok := got[key]; !ok {
 			t.Errorf("summary missing %q:\n%s", key, buf.String())
 		}

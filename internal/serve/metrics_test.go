@@ -2,7 +2,9 @@ package serve
 
 import (
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/history"
 	"repro/internal/obs"
@@ -17,12 +19,9 @@ func TestServiceMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	svc.RegisterMetrics(reg)
 
-	// One miss, then hits; one invalid host; one versioned lookup and
+	// Six answered lookups; one invalid host; one versioned lookup and
 	// one SetVersion, each compiling a version; one swap.
-	if _, err := svc.Lookup("www.example.com"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 6; i++ {
 		if _, err := svc.Lookup("www.example.com"); err != nil {
 			t.Fatal(err)
 		}
@@ -42,12 +41,10 @@ func TestServiceMetricsExposition(t *testing.T) {
 		t.Fatalf("exposition invalid: %v\n%s", err, doc)
 	}
 	for _, want := range []string{
-		`psl_serve_lookups_total{result="hit"} 5`,
-		`psl_serve_lookups_total{result="miss"} 2`,
+		`psl_serve_lookups_total{result="ok"} 6`,
 		`psl_serve_lookups_total{result="error"} 1`,
 		`psl_serve_swaps_total 2`,
 		"psl_serve_lookup_duration_seconds_bucket",
-		"psl_serve_cache_bytes",
 		"psl_serve_inflight_requests 0",
 		"psl_compile_total 2",
 		"psl_compile_duration_seconds_count 2",
@@ -128,14 +125,72 @@ func TestMetricsDisabled(t *testing.T) {
 	if _, err := svc.Lookup("www.example.com"); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, _ := svc.CacheStats()
-	if hits != 0 || misses != 1 {
-		t.Errorf("stats = %d/%d, want 0/1", hits, misses)
+	if oks := svc.oks.Load(); oks != 1 {
+		t.Errorf("ok lookups = %d, want 1", oks)
 	}
 	// Registration still works — the duration families are simply absent.
 	reg := obs.NewRegistry()
 	svc.RegisterMetrics(reg)
 	if doc := reg.Render(); strings.Contains(doc, "psl_serve_lookup_duration_seconds") {
 		t.Error("duration family exposed with metrics disabled")
+	}
+}
+
+// TestServiceVersionLookupSkipsOtherCompile: a versioned lookup of a
+// cached version returns while another version's compile is held open,
+// because the compile runs outside versionMu; a lookup of the compiling
+// version waits for that compile and then answers from it.
+func TestServiceVersionLookupSkipsOtherCompile(t *testing.T) {
+	h := history.Generate(history.Config{Seed: history.DefaultSeed, Versions: 12})
+	svc := NewFromHistory(h, h.Len()-1, Options{})
+	want, err := svc.LookupAt("a.b.co.uk", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	orig := compileVersion
+	defer func() { compileVersion = orig }()
+	defer unblock() // a failed check must not leave the compile held
+	compileVersion = func(h *history.History, seq int) *Snapshot {
+		if seq == 5 {
+			close(held)
+			<-release
+		}
+		return orig(h, seq)
+	}
+	compiling := make(chan Answer, 1)
+	go func() {
+		a, _ := svc.LookupAt("a.b.co.uk", 5)
+		compiling <- a
+	}()
+	<-held // version 5's compile is now open, and stays open until release
+
+	cached := make(chan Answer, 1)
+	go func() {
+		a, _ := svc.LookupAt("a.b.co.uk", 3)
+		cached <- a
+	}()
+	select {
+	case got := <-cached:
+		if got != want {
+			t.Errorf("cached version 3 answered %+v, want %+v", got, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lookup of cached version 3 is blocked behind version 5's compile")
+	}
+	select {
+	case a := <-compiling:
+		t.Fatalf("version 5 answered %+v before its compile finished", a)
+	default:
+	}
+	unblock()
+	if a := <-compiling; a.Seq != 5 {
+		t.Errorf("version 5 lookup answered for seq %d", a.Seq)
+	}
+	if got := svc.compiles.Load(); got != 2 {
+		t.Errorf("compiles = %d, want 2", got)
 	}
 }

@@ -30,15 +30,12 @@ type Options struct {
 	// what keeps one client from monopolising the service). <= 0 selects
 	// DefaultMaxBatch.
 	MaxBatch int
-	// CacheSize bounds the lookup cache (entries). <= 0 selects
-	// DefaultCacheSize.
-	CacheSize int
 	// History, when set, enables versioned lookups (?version=N) and
 	// SetVersion, serving any historical list version on demand.
 	History *history.History
 	// DisableMetrics turns off latency instrumentation (the lookup
-	// counters stay on — they predate the metrics layer and are part of
-	// CacheStats). Exists so BenchmarkServeLookupInstrumented can
+	// counters stay on — they predate the metrics layer). Exists so
+	// BenchmarkServeLookupInstrumented can
 	// measure the instrumentation overhead against a bare service;
 	// production callers leave it false.
 	DisableMetrics bool
@@ -54,34 +51,32 @@ const DefaultMaxBatch = 8192
 // materialised for ?version=N lookups.
 const versionCacheSize = 8
 
-// hitSampleEvery is the cache-hit latency sampling period: one in every
-// hitSampleEvery hits arms end-to-end timing for the following lookup.
-// Cached hits run in ~100ns, so timing each one (two time.Now calls)
-// would be a >30% tax; sampling rides the hit counter's existing atomic
-// add (Counter.AddSampled), so it requires a power of two. Misses are
-// always timed — the matcher walk dwarfs the clock reads.
-const hitSampleEvery = 256
+// lookupSampleEvery is the lookup latency sampling period: one in every
+// lookupSampleEvery answered lookups arms end-to-end timing for the
+// following lookup. A lookup runs in a few hundred nanoseconds, so
+// timing each one (two time.Now calls) would break the 5% budget
+// BenchmarkServeLookupInstrumented prices; sampling rides the lookup
+// counter's existing atomic add (Counter.AddSampled), so it requires a
+// power of two.
+const lookupSampleEvery = 256
 
 // timing is the latency instrumentation of the lookup path, nil when
-// Options.DisableMetrics is set. Hits are sampled: every
-// hitSampleEvery-th hit (per counter stripe) arms the flag, and the
-// next lookup times itself end to end. The armed flag is read-mostly —
-// its cache line stays shared between arming events — so the per-hit
-// tax is one predictable branch, not a second contended atomic add.
+// Options.DisableMetrics is set. Lookups are sampled: every
+// lookupSampleEvery-th answer (per counter stripe) arms the flag, and
+// the next lookup times itself end to end. The armed flag is
+// read-mostly — its cache line stays shared between arming events — so
+// the per-lookup tax is one predictable branch, not a second contended
+// atomic add.
 type timing struct {
-	armed atomic.Bool
-	hit   *obs.Histogram
-	miss  *obs.Histogram
-	batch *obs.Histogram
+	armed  atomic.Bool
+	lookup *obs.Histogram
+	batch  *obs.Histogram
 }
 
-// state is the unit of atomic swap: a snapshot and the cache built for
-// it. Replacing both together means a cached answer can never outlive
-// the snapshot that produced it — cache invalidation on swap is
-// wholesale and race-free by construction.
+// state is the unit of atomic swap: a snapshot and its served_first
+// flag.
 type state struct {
-	snap  *Snapshot
-	cache *Cache
+	snap *Snapshot
 	// served flips once, on the first lookup this state answers — the
 	// served_first lifecycle event. Living in the swapped state (not the
 	// Service) means each installed version gets its own event for free.
@@ -90,8 +85,7 @@ type state struct {
 
 // Service answers eTLD / eTLD+1 queries over HTTP against a
 // hot-swappable list snapshot. The lookup read path is lock-free: one
-// atomic load of the current state, a sharded cache probe, and (on
-// miss) a matcher walk.
+// atomic load of the current state, then Snapshot.Resolve.
 type Service struct {
 	st   atomic.Pointer[state]
 	opts Options
@@ -99,8 +93,7 @@ type Service struct {
 	// swap and lookup telemetry; survive snapshot swaps.
 	gen       atomic.Uint64
 	swapNanos atomic.Int64 // UnixNano of the last swap, for the age gauge
-	hits      obs.Counter
-	misses    obs.Counter
+	oks       obs.Counter
 	errs      obs.Counter
 	admitted  obs.Counter
 	rejected  obs.Counter
@@ -113,8 +106,7 @@ type Service struct {
 	// counters once per request instead).
 	batchNDJSON   obs.Counter
 	batchBinary   obs.Counter
-	batchRowHits  obs.Counter
-	batchRowMiss  obs.Counter
+	batchRowOKs   obs.Counter
 	batchRowErrs  obs.Counter
 	batchRejected obs.Counter
 
@@ -144,7 +136,7 @@ type Service struct {
 	// bounded cache of materialised historical snapshots for
 	// ?version=N lookups; each miss compiles one version.
 	versionMu       sync.Mutex
-	versionSnaps    map[int]*Snapshot
+	versionSnaps    map[int]*versionCell
 	versionOrder    []int
 	compiles        obs.Counter
 	compileDuration *obs.Histogram
@@ -184,15 +176,14 @@ func newService(opts Options) *Service {
 	s := &Service{
 		opts:            opts,
 		tokens:          make(chan struct{}, opts.MaxInFlight),
-		versionSnaps:    make(map[int]*Snapshot),
+		versionSnaps:    make(map[int]*versionCell),
 		compileDuration: obs.NewHistogram(nil),
 		start:           time.Now(),
 	}
 	if !opts.DisableMetrics {
 		s.m = &timing{
-			hit:   obs.NewHistogram(nil),
-			miss:  obs.NewHistogram(nil),
-			batch: obs.NewHistogram(nil),
+			lookup: obs.NewHistogram(nil),
+			batch:  obs.NewHistogram(nil),
 		}
 	}
 	mux := http.NewServeMux()
@@ -279,24 +270,18 @@ func NewFromHistory(h *history.History, seq int, opts Options) *Service {
 }
 
 // RegisterMetrics attaches the service's metric families to a registry
-// (DESIGN.md §10 naming): lookup counters and latency histograms
-// labelled by result, swap/age/rules snapshot telemetry,
-// cache occupancy, and admission-control counters and gauges. A service
-// with a History also registers its versioned-lookup compile families.
+// (DESIGN.md §10 naming): lookup counters labelled by result, sampled
+// lookup latency, swap/age/rules snapshot telemetry, and
+// admission-control counters and gauges. A service with a History also
+// registers its versioned-lookup compile families.
 func (s *Service) RegisterMetrics(r *obs.Registry) {
-	r.MustRegister("psl_serve_lookups_total", "Lookups by result (hit/miss against the answer cache, error for invalid hosts).",
-		obs.Labels{{"result", "hit"}}, &s.hits)
-	r.MustRegister("psl_serve_lookups_total", "Lookups by result (hit/miss against the answer cache, error for invalid hosts).",
-		obs.Labels{{"result", "miss"}}, &s.misses)
-	r.MustRegister("psl_serve_lookups_total", "Lookups by result (hit/miss against the answer cache, error for invalid hosts).",
+	r.MustRegister("psl_serve_lookups_total", "Lookups by result (ok, or error for invalid hosts).",
+		obs.Labels{{"result", "ok"}}, &s.oks)
+	r.MustRegister("psl_serve_lookups_total", "Lookups by result (ok, or error for invalid hosts).",
 		obs.Labels{{"result", "error"}}, &s.errs)
 	if s.m != nil {
 		r.MustRegister("psl_serve_lookup_duration_seconds",
-			fmt.Sprintf("Lookup latency by result; hits are sampled 1/%d, misses always timed.", hitSampleEvery),
-			obs.Labels{{"result", "hit"}}, s.m.hit)
-		r.MustRegister("psl_serve_lookup_duration_seconds",
-			fmt.Sprintf("Lookup latency by result; hits are sampled 1/%d, misses always timed.", hitSampleEvery),
-			obs.Labels{{"result", "miss"}}, s.m.miss)
+			fmt.Sprintf("Latency of answered lookups, sampled 1/%d.", lookupSampleEvery), nil, s.m.lookup)
 	}
 	r.MustRegister("psl_serve_swaps_total", "Snapshot swaps installed, including the initial one.", nil,
 		obs.CounterFunc(func() float64 { return float64(s.gen.Load()) }))
@@ -304,10 +289,6 @@ func (s *Service) RegisterMetrics(r *obs.Registry) {
 		obs.GaugeFunc(func() float64 { return time.Since(time.Unix(0, s.swapNanos.Load())).Seconds() }))
 	r.MustRegister("psl_serve_snapshot_rules", "Rules in the currently served list version.", nil,
 		obs.GaugeFunc(func() float64 { return float64(s.Current().List.Len()) }))
-	r.MustRegister("psl_serve_cache_entries", "Entries in the current lookup cache.", nil,
-		obs.GaugeFunc(func() float64 { return float64(s.st.Load().cache.Len()) }))
-	r.MustRegister("psl_serve_cache_bytes", "Approximate resident bytes of the current lookup cache.", nil,
-		obs.GaugeFunc(func() float64 { return float64(s.st.Load().cache.Bytes()) }))
 	r.MustRegister("psl_serve_inflight_requests", "Admitted /v1/lookup requests currently in flight.", nil,
 		obs.GaugeFunc(func() float64 { return float64(len(s.tokens)) }))
 	r.MustRegister("psl_serve_admitted_total", "Requests admitted past the in-flight bound.", nil, &s.admitted)
@@ -317,9 +298,7 @@ func (s *Service) RegisterMetrics(r *obs.Registry) {
 	r.MustRegister("psl_serve_batch_requests_total", "Batch requests by wire mode (ndjson or binary).",
 		obs.Labels{{"mode", "binary"}}, &s.batchBinary)
 	r.MustRegister("psl_serve_batch_rows_total", "Batch rows answered, by result.",
-		obs.Labels{{"result", "hit"}}, &s.batchRowHits)
-	r.MustRegister("psl_serve_batch_rows_total", "Batch rows answered, by result.",
-		obs.Labels{{"result", "miss"}}, &s.batchRowMiss)
+		obs.Labels{{"result", "ok"}}, &s.batchRowOKs)
 	r.MustRegister("psl_serve_batch_rows_total", "Batch rows answered, by result.",
 		obs.Labels{{"result", "error"}}, &s.batchRowErrs)
 	r.MustRegister("psl_serve_batch_rejected_total", "Batch requests rejected with 503 by admission control.", nil, &s.batchRejected)
@@ -350,19 +329,17 @@ func (s *Service) RegisterMetrics(r *obs.Registry) {
 // instead, proving the degrade path swaps correct data either way.
 var fpInstallBlob = failpoint.New("serve.install.blob")
 
-// install makes snap the current snapshot under a fresh generation,
-// with a fresh cache.
+// install makes snap the current snapshot under a fresh generation.
 func (s *Service) install(snap *Snapshot) *Snapshot {
 	snap.Gen = s.gen.Add(1)
 	s.swapNanos.Store(time.Now().UnixNano())
-	s.st.Store(&state{snap: snap, cache: NewCache(s.opts.CacheSize)})
+	s.st.Store(&state{snap: snap})
 	return snap
 }
 
 // Swap atomically installs a new list version. In-flight lookups keep
-// the snapshot they loaded; subsequent lookups see the new one. The
-// lookup cache is replaced wholesale with an empty cache bound to the
-// new snapshot. Returns the installed snapshot.
+// the snapshot they loaded; subsequent lookups see the new one. Returns
+// the installed snapshot.
 func (s *Service) Swap(l *psl.List, seq int) *Snapshot {
 	return s.install(s.buildSnapshot(l, seq))
 }
@@ -458,55 +435,34 @@ func (s *Service) Current() *Snapshot { return s.st.Load().snap }
 // initial one).
 func (s *Service) Swaps() uint64 { return s.gen.Load() }
 
-// CacheStats reports cumulative lookup-cache hits and misses and the
-// current cache occupancy.
-func (s *Service) CacheStats() (hits, misses uint64, size int) {
-	return s.hits.Load(), s.misses.Load(), s.st.Load().cache.Len()
-}
-
-// Lookup answers against the current snapshot through the lookup
-// cache. The raw query string is the cache key, so repeated queries
-// skip normalization entirely on hits.
+// Lookup answers against the current snapshot. For a canonical host it
+// allocates nothing (see Snapshot.Resolve).
 func (s *Service) Lookup(host string) (Answer, error) {
 	m := s.m
 	var t0 time.Time
-	timed := false
-	if m != nil && m.armed.Load() && m.armed.CompareAndSwap(true, false) {
-		timed = true
+	timed := m != nil && m.armed.Load() && m.armed.CompareAndSwap(true, false)
+	if timed {
 		t0 = time.Now()
 	}
 	st := s.st.Load()
 	s.noteServed(st)
-	if a, ok := st.cache.Get(host); ok {
-		if s.hits.AddSampled(1, hitSampleEvery) && m != nil {
-			m.armed.Store(true)
-		}
-		if timed {
-			m.hit.Observe(time.Since(t0))
-		}
-		a.Cached = true
-		return a, nil
-	}
-	s.misses.Add(1)
-	if m != nil && !timed {
-		timed = true
-		t0 = time.Now()
-	}
 	a, err := st.snap.Resolve(host)
 	if err != nil {
 		s.errs.Add(1)
 		return Answer{}, err
 	}
-	st.cache.Put(host, a)
+	if s.oks.AddSampled(1, lookupSampleEvery) && m != nil {
+		m.armed.Store(true)
+	}
 	if timed {
-		m.miss.Observe(time.Since(t0))
+		m.lookup.Observe(time.Since(t0))
 	}
 	return a, nil
 }
 
-// LookupAt answers against a specific history version, bypassing the
-// lookup cache (historical traffic is assumed cold); the materialised
-// snapshot itself is cached so repeated versioned queries stay cheap.
+// LookupAt answers against a specific history version; the
+// materialised snapshot is cached so repeated versioned queries stay
+// cheap.
 func (s *Service) LookupAt(host string, seq int) (Answer, error) {
 	h := s.opts.History
 	if h == nil {
@@ -518,27 +474,52 @@ func (s *Service) LookupAt(host string, seq int) (Answer, error) {
 	return s.versionSnapshot(seq).Resolve(host)
 }
 
+// versionCell is one history version's entry in the versioned-lookup
+// cache. The cell is installed under versionMu, but the compile that
+// fills it runs outside the lock, once, so a lookup of a cached version
+// never waits behind another version's compile.
+type versionCell struct {
+	once sync.Once
+	snap *Snapshot
+}
+
+// compileVersion materialises and compiles one history version; a
+// variable so a test can hold a compile open.
+var compileVersion = func(h *history.History, seq int) *Snapshot {
+	return NewSnapshot(h.ListAt(seq), seq)
+}
+
 // versionSnapshot returns a materialised snapshot of history version
 // seq, keeping a small FIFO-bounded cache of recently used versions, so
 // SetVersion and LookupAt compile a cached version only once.
 func (s *Service) versionSnapshot(seq int) *Snapshot {
+	c := s.versionCell(seq)
+	c.once.Do(func() {
+		t0 := time.Now()
+		c.snap = compileVersion(s.opts.History, seq)
+		s.compiles.Add(1)
+		s.compileDuration.Observe(time.Since(t0))
+	})
+	return c.snap
+}
+
+// versionCell returns seq's cache cell, installing an empty one on a
+// miss and evicting the oldest beyond versionCacheSize.
+func (s *Service) versionCell(seq int) *versionCell {
 	s.versionMu.Lock()
 	defer s.versionMu.Unlock()
-	if snap, ok := s.versionSnaps[seq]; ok {
-		return snap
+	if c, ok := s.versionSnaps[seq]; ok {
+		return c
 	}
-	t0 := time.Now()
-	snap := NewSnapshot(s.opts.History.ListAt(seq), seq)
-	s.compiles.Add(1)
-	s.compileDuration.Observe(time.Since(t0))
 	for len(s.versionOrder) >= versionCacheSize {
 		old := s.versionOrder[0]
 		s.versionOrder = s.versionOrder[1:]
 		delete(s.versionSnaps, old)
 	}
-	s.versionSnaps[seq] = snap
+	c := &versionCell{}
+	s.versionSnaps[seq] = c
 	s.versionOrder = append(s.versionOrder, seq)
-	return snap
+	return c
 }
 
 // --- HTTP layer ------------------------------------------------------
@@ -568,7 +549,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 //
 //	GET /v1/lookup?host=H[&version=N]  eTLD / eTLD+1 answer (JSON)
 //	GET /v1/version                    current list version metadata
-//	GET /healthz                       liveness + cache/admission stats
+//	GET /healthz                       liveness + admission stats
 func (s *Service) Handler() http.Handler { return s.mux }
 
 // ServeHTTP makes the Service itself mountable as a handler.
@@ -656,10 +637,6 @@ type healthBody struct {
 	GoVersion          string   `json:"go_version"`
 	Swaps              uint64   `json:"swaps"`
 	SnapshotAgeSeconds float64  `json:"snapshot_age_seconds"`
-	CacheHits          uint64   `json:"cache_hits"`
-	CacheMisses        uint64   `json:"cache_misses"`
-	CacheSize          int      `json:"cache_size"`
-	CacheBytes         int64    `json:"cache_bytes"`
 	InFlight           int      `json:"in_flight"`
 	MaxInFlight        int      `json:"max_in_flight"`
 	Admitted           uint64   `json:"admitted"`
@@ -671,7 +648,6 @@ type healthBody struct {
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
-	hits, misses, size := s.CacheStats()
 	snap := s.Current()
 	source, lag := s.sourceInfo()
 	age := time.Since(time.Unix(0, s.swapNanos.Load()))
@@ -690,10 +666,6 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 		GoVersion:          runtime.Version(),
 		Swaps:              s.Swaps(),
 		SnapshotAgeSeconds: age.Seconds(),
-		CacheHits:          hits,
-		CacheMisses:        misses,
-		CacheSize:          size,
-		CacheBytes:         s.st.Load().cache.Bytes(),
 		InFlight:           len(s.tokens),
 		MaxInFlight:        s.opts.MaxInFlight,
 		Admitted:           s.admitted.Load(),

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -117,37 +116,32 @@ func TestResolveMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestLookupCache checks hit/miss accounting, the Cached flag and that
-// cached answers equal uncached ones.
-func TestLookupCache(t *testing.T) {
+// TestLookupCounters checks ok/error accounting and that a repeated
+// lookup answers identically.
+func TestLookupCounters(t *testing.T) {
 	s := New(fixture(t), -1, Options{})
 	first, err := s.Lookup("www.example.co.uk")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Cached {
-		t.Error("first lookup reported cached")
-	}
 	second, err := s.Lookup("www.example.co.uk")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Cached {
-		t.Error("second lookup not cached")
-	}
-	second.Cached = false
 	if first != second {
-		t.Errorf("cached answer differs: %+v vs %+v", first, second)
+		t.Errorf("repeated answer differs: %+v vs %+v", first, second)
 	}
-	hits, misses, size := s.CacheStats()
-	if hits != 1 || misses != 1 || size != 1 {
-		t.Errorf("stats = %d hits %d misses %d entries, want 1/1/1", hits, misses, size)
+	if _, err := s.Lookup("192.168.0.1"); err == nil {
+		t.Fatal("IP lookup did not error")
+	}
+	if oks, errs := s.oks.Load(), s.errs.Load(); oks != 2 || errs != 1 {
+		t.Errorf("counters = %d ok %d error, want 2/1", oks, errs)
 	}
 }
 
-// TestSwapInvalidatesCache checks a swap empties the cache and changes
-// the answers when the rules changed.
-func TestSwapInvalidatesCache(t *testing.T) {
+// TestSwapChangesAnswers checks a swap changes the answers when the
+// rules changed.
+func TestSwapChangesAnswers(t *testing.T) {
 	old := psl.MustParse("com\n")
 	new_ := psl.MustParse("com\nexample.com\n")
 	s := New(old, 0, Options{})
@@ -156,26 +150,12 @@ func TestSwapInvalidatesCache(t *testing.T) {
 		t.Fatalf("pre-swap site = %q", a.Site)
 	}
 	s.Swap(new_, 1)
-	if _, _, size := s.CacheStats(); size != 0 {
-		t.Errorf("cache not emptied on swap: %d entries", size)
-	}
 	a, _ = s.Lookup("www.example.com")
-	if a.Site != "www.example.com" || a.Cached {
-		t.Errorf("post-swap answer %+v, want site www.example.com uncached", a)
+	if a.Site != "www.example.com" || a.Seq != 1 {
+		t.Errorf("post-swap answer %+v, want site www.example.com at seq 1", a)
 	}
 	if got := s.Swaps(); got != 2 {
 		t.Errorf("Swaps() = %d, want 2", got)
-	}
-}
-
-// TestCacheBound checks the cache never exceeds its configured bound.
-func TestCacheBound(t *testing.T) {
-	c := NewCache(cacheShards) // one entry per shard
-	for i := 0; i < 10*cacheShards; i++ {
-		c.Put(fmt.Sprintf("host%d.example.com", i), Answer{})
-	}
-	if c.Len() > cacheShards {
-		t.Errorf("cache grew to %d entries, bound %d", c.Len(), cacheShards)
 	}
 }
 
@@ -304,7 +284,7 @@ func TestHTTPVersionAndHealth(t *testing.T) {
 		t.Errorf("source/lag = %q/%d, want local/0 when SetSource never called", v.Source, v.LagSeqs)
 	}
 
-	// Drive two identical lookups so the counters move.
+	// Drive two lookups so the admission counter moves.
 	for i := 0; i < 2; i++ {
 		resp, err := http.Get(ts.URL + LookupPath + "?host=a.example.com")
 		if err != nil {
@@ -317,7 +297,7 @@ func TestHTTPVersionAndHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	hb := decode[healthBody](t, resp)
-	if hb.Status != "ok" || hb.CacheHits != 1 || hb.CacheMisses != 1 || hb.Admitted != 2 {
+	if hb.Status != "ok" || hb.Admitted != 2 {
 		t.Errorf("health body %+v", hb)
 	}
 	if hb.MaxInFlight != DefaultMaxInFlight {

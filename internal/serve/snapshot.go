@@ -1,8 +1,7 @@
 // Package serve implements the production query service layered over the
 // offline PSL machinery: an HTTP JSON API answering eTLD / eTLD+1
 // questions against an atomically hot-swappable immutable list snapshot,
-// with a sharded lookup cache, bounded in-flight admission control and
-// graceful shutdown.
+// with bounded in-flight admission control and graceful shutdown.
 //
 // The serving layer is required to stay byte-for-byte consistent with
 // the library — the differential tests in this package and in
@@ -88,8 +87,6 @@ type Answer struct {
 	// consistent with the version it names.
 	Version string `json:"version"`
 	Seq     int    `json:"seq"`
-	// Cached reports that the answer was served from the lookup cache.
-	Cached bool `json:"cached,omitempty"`
 	// Error carries the per-row failure for batch responses (an invalid
 	// host inside a batch fails only its own row, not the request).
 	// Always empty on single-lookup answers, which signal errors at the
@@ -97,11 +94,15 @@ type Answer struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Resolve answers a lookup against this snapshot, bypassing any cache.
-// It normalizes the host with psl.Normalize, as the library does,
-// matches once, and derives suffix and site from the single match
-// result, so the answer is identical to the library's (the differential
-// tests pin this).
+// Resolve answers a lookup against this snapshot. It normalizes the
+// host with psl.Normalize, as the library does, matches once, and
+// derives suffix and site from the single match result, so the answer
+// is identical to the library's (the differential tests pin this).
+//
+// For a canonical host over the packed matcher it allocates nothing:
+// Normalize returns its input, ETLD and Site are substrings of it, and
+// the rule text comes from the matcher. Every string in the answer may
+// therefore alias host.
 func (s *Snapshot) Resolve(host string) (Answer, error) {
 	ascii, err := psl.Normalize(host)
 	if err != nil {
@@ -113,7 +114,7 @@ func (s *Snapshot) Resolve(host string) (Answer, error) {
 		Version: s.List.Version,
 		Seq:     s.Seq,
 	}
-	res := s.Matcher.Match(ascii)
+	res, rule := matchText(s.Matcher, ascii)
 	n := res.SuffixLabels
 	if n <= 0 {
 		// Mirror psl.List.PublicSuffix: a single-label exception rule
@@ -126,7 +127,7 @@ func (s *Snapshot) Resolve(host string) (Answer, error) {
 	if res.Implicit {
 		a.Section = "implicit"
 	} else {
-		a.Rule = res.Rule.String()
+		a.Rule = rule
 		a.Section = res.Rule.Section.String()
 		a.ICANN = res.Rule.Section == psl.SectionICANN
 	}
@@ -136,4 +137,14 @@ func (s *Snapshot) Resolve(host string) (Answer, error) {
 		a.IsSuffix = true
 	}
 	return a, nil
+}
+
+// matchText matches name and renders the prevailing rule in list-file
+// syntax, without allocating when m is the packed matcher.
+func matchText(m psl.Matcher, name string) (psl.Result, string) {
+	if pm, ok := m.(*psl.PackedMatcher); ok {
+		return pm.MatchText(name)
+	}
+	res := m.Match(name)
+	return res, res.Rule.String()
 }
