@@ -7,8 +7,11 @@ all: build test
 build:
 	go build ./...
 
+# perfbench is a nested module that ./... skips; it links against the
+# library packages, so its build and tests run here too.
 test:
 	go test ./...
+	cd perfbench && go vet ./... && go test ./...
 
 race:
 	go test -race ./internal/psl/ ./internal/serve/ ./internal/obs/ ./internal/experiments/ ./internal/dist/ ./internal/resilience/ ./internal/failpoint/ ./internal/fleet/

@@ -15,8 +15,8 @@ import (
 	"repro/internal/psl"
 )
 
-// Sort-based oracles: the codec as it was before lists carried their
-// canonical order, copying and sorting the first-seen rules.
+// Sort-based oracles: the codec as it was before lists held only their
+// canonical order, copying and sorting the rules.
 
 func oracleSorted(l *psl.List) []psl.Rule {
 	rules := append([]psl.Rule(nil), l.Rules()...)
@@ -70,13 +70,12 @@ func oracleApply(p *Patch, base *psl.List) *psl.List {
 	return l
 }
 
-// checkAgainstOracle compares l's first-seen order, which fixes its
-// compiled matcher, and every canonical output with the oracle's for
-// want.
+// checkAgainstOracle compares l's rules, which fix its compiled
+// matcher, and every canonical output with the oracle's for want.
 func checkAgainstOracle(t *testing.T, what string, l, want *psl.List, seq int) {
 	t.Helper()
 	if !slices.Equal(l.Rules(), want.Rules()) {
-		t.Fatalf("%s: first-seen rule order differs", what)
+		t.Fatalf("%s: rules differ", what)
 	}
 	if l.Serialize() != want.Serialize() {
 		t.Fatalf("%s: Serialize differs", what)
@@ -154,7 +153,7 @@ func TestCodecMatchesSortOracleOnGeneratedHead(t *testing.T) {
 
 // TestCodecMatchesSortOracleOnRandomLists: EncodeFull and patch bytes
 // equal the sort oracle's on random variants of a small list, whose
-// rules arrive in no particular first-seen order.
+// rules arrive in no particular order.
 func TestCodecMatchesSortOracleOnRandomLists(t *testing.T) {
 	base := fuzzBase()
 	rng := rand.New(rand.NewSource(9))

@@ -196,7 +196,7 @@ type Full struct {
 // version is byte-identical however its list was materialised —
 // replayed from history or rebuilt by applying patches.
 func EncodeFull(l *psl.List, seq int) []byte {
-	rules := l.SortedRules()
+	rules := l.Rules()
 	buf := make([]byte, 0, 64+32*len(rules))
 	buf = binary.BigEndian.AppendUint32(buf, fullMagic)
 	buf = append(buf, codecVersion)

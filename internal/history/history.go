@@ -421,14 +421,27 @@ func (h *History) Metas() []VersionMeta { return h.state.Load().metas }
 func (h *History) Events() []Event { return h.state.Load().events }
 
 // ListAt materialises version i by replaying events. Cost is linear in
-// the total number of rule changes up to i.
+// the total number of rule changes up to i, plus one sort.
 func (h *History) ListAt(i int) *psl.List {
+	l := psl.NewList(h.RulesAt(i))
+	meta := h.Meta(i)
+	l.Date = meta.Date
+	l.Version = meta.Label()
+	return l
+}
+
+// RulesAt returns version i's rules in the order they were introduced,
+// by replaying events: each version's removals before its additions,
+// and a key already live keeping its first rule. A list holds only the
+// canonical order; this replay order is for callers whose output
+// depends on when each rule arrived. The slice is freshly allocated.
+func (h *History) RulesAt(i int) []psl.Rule {
 	st := h.state.Load()
 	if i < 0 || i >= len(st.events) {
 		panic(fmt.Sprintf("history: version %d out of range [0,%d)", i, len(st.events)))
 	}
 	// Replay events into an ordered rule set: a map tracks liveness,
-	// tombstones preserve first-seen order without O(n) deletions.
+	// tombstones preserve introduction order without O(n) deletions.
 	index := make(map[string]int, 10000)
 	rules := make([]psl.Rule, 0, 10000)
 	dead := make([]bool, 0, 10000)
@@ -455,11 +468,7 @@ func (h *History) ListAt(i int) *psl.List {
 			live = append(live, r)
 		}
 	}
-	l := psl.NewList(live)
-	meta := st.metas[i]
-	l.Date = meta.Date
-	l.Version = meta.Label()
-	return l
+	return live
 }
 
 // Latest materialises the newest version.

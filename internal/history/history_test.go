@@ -124,25 +124,44 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestRulesAtReplayOrder: RulesAt keeps introduction order (a later
+// version's additions come last, whatever their canonical place) and
+// holds the same rules as ListAt, which sorts them.
+func TestRulesAtReplayOrder(t *testing.T) {
+	h := Generate(Config{Seed: DefaultSeed, Versions: 40})
+	second := mustRule("zz-second.example", psl.SectionPrivate)
+	third := mustRule("aa-third.example", psl.SectionPrivate)
+	h.Append(time.Time{}, []psl.Rule{second, third}, nil)
+	i := h.Len() - 1
+	rules := h.RulesAt(i)
+	if n := len(rules); n < 2 || rules[n-2] != second || rules[n-1] != third {
+		t.Fatalf("RulesAt(%d) ends %v, want the appended rules in order", i, rules[len(rules)-2:])
+	}
+	l := h.ListAt(i)
+	if want := psl.NewList(rules); !l.Equal(want) || l.Len() != len(rules) || l.Len() != h.Meta(i).Rules {
+		t.Fatalf("ListAt(%d) holds %d rules, RulesAt %d, meta %d", i, l.Len(), len(rules), h.Meta(i).Rules)
+	}
+}
+
 func TestCuratedSchedule(t *testing.T) {
 	h := sharedHistory
 	latest := h.Latest()
 	// Every curated suffix is in the final list.
 	for _, c := range curatedAll() {
-		if !latest.ContainsSuffix(ruleFromCurated(c).String()) {
+		if !latest.Contains(ruleFromCurated(c)) {
 			t.Errorf("latest list missing curated %q", c.Suffix)
 		}
 	}
 	// Addition timing: a list as old as the curated age must miss the
 	// suffix; a list younger must have it.
 	for _, c := range Table2Suffixes {
-		key := ruleFromCurated(c).String()
+		key := ruleFromCurated(c)
 		older := h.ListAt(h.IndexForAge(c.AgeDays + 30))
-		if older.ContainsSuffix(key) {
+		if older.Contains(key) {
 			t.Errorf("%q present in list %d days old (added at age %d)", c.Suffix, c.AgeDays+30, c.AgeDays)
 		}
 		newer := h.ListAt(h.IndexForAge(c.AgeDays - 30))
-		if !newer.ContainsSuffix(key) {
+		if !newer.Contains(key) {
 			t.Errorf("%q absent from list %d days old (added at age %d)", c.Suffix, c.AgeDays-30, c.AgeDays)
 		}
 	}
@@ -237,13 +256,14 @@ func TestWildcardRestructures(t *testing.T) {
 	spans := h.RuleSpans()
 	for _, cc := range ccs {
 		key := "*." + cc
-		if !first.ContainsSuffix(key) {
+		wildcard := mustRule(key, psl.SectionICANN)
+		if !first.Contains(wildcard) {
 			t.Errorf("first version missing %s", key)
 		}
-		if latest.ContainsSuffix(key) {
+		if latest.Contains(wildcard) {
 			t.Errorf("latest version still carries %s", key)
 		}
-		if !latest.ContainsSuffix("co." + cc) {
+		if !latest.Contains(mustRule("co."+cc, psl.SectionICANN)) {
 			t.Errorf("latest version missing restructured co.%s", cc)
 		}
 		ss := spans[key]
@@ -257,7 +277,7 @@ func TestWildcardRestructures(t *testing.T) {
 		}
 	}
 	// Permanent wildcards survive.
-	if !latest.ContainsSuffix("*.ck") || !latest.ContainsSuffix("*.er") {
+	if !latest.Contains(mustRule("*.ck", psl.SectionICANN)) || !latest.Contains(mustRule("*.er", psl.SectionICANN)) {
 		t.Error("permanent wildcard family (*.ck / *.er) was lost")
 	}
 }

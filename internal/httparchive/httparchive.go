@@ -136,7 +136,6 @@ func Generate(cfg Config, h *history.History) *Snapshot {
 		pairs:   make(map[int64]int32, 1<<19),
 	}
 
-	latest := h.Latest()
 	spans := h.RuleSpans()
 	ruleAge := func(key string) int {
 		ss := spans[key]
@@ -151,11 +150,13 @@ func Generate(cfg Config, h *history.History) *Snapshot {
 		table2[c.Suffix] = table2Hostnames[c.Suffix]
 	}
 
-	// Partition the latest list's rules. Table 2 suffixes always take
-	// the platform population path regardless of section (sp.gov.br &
+	// Partition the latest version's rules, in the order history
+	// introduced them: the seeded draws below consume the rules in this
+	// order, so it fixes the snapshot. Table 2 suffixes always take the
+	// platform population path regardless of section (sp.gov.br &
 	// friends are ICANN-section rules but carry exact paper counts).
 	var registry, platform []psl.Rule
-	for _, r := range latest.Rules() {
+	for _, r := range h.RulesAt(h.Len() - 1) {
 		_, isTable2 := table2[r.Suffix]
 		switch {
 		case r.Exception || r.Wildcard:

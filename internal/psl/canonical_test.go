@@ -13,9 +13,24 @@ import (
 	"time"
 )
 
-// Sort-based oracles: the canonical outputs as they were computed
-// before lists carried their canonical order, by copying and sorting
-// the first-seen rules.
+// Map-and-sort oracles: the canonical order and outputs as they were
+// computed before lists held only their canonical order, by dropping
+// repeated keys with a map and sorting a copy.
+
+// oracleCanonical is the rule order NewList(rules) must hold: the first
+// rule given for each key, sorted.
+func oracleCanonical(rules []Rule) []Rule {
+	seen := make(map[string]bool)
+	var out []Rule
+	for _, r := range rules {
+		if !seen[r.String()] {
+			seen[r.String()] = true
+			out = append(out, r)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return CompareRules(out[i], out[j]) < 0 })
+	return out
+}
 
 func oracleSorted(l *List) []Rule {
 	rules := append([]Rule(nil), l.Rules()...)
@@ -69,8 +84,8 @@ func oracleSerialize(l *List) string {
 
 // oracleWithDiff applies d the way dist.Patch.Apply did with maps:
 // drop removed keys, move surviving ones (last entry wins), append the
-// additions, and let NewList drop keys already present.
-func oracleWithDiff(l *List, d Diff) *List {
+// additions, and drop keys already present.
+func oracleWithDiff(l *List, d Diff) []Rule {
 	drop := make(map[string]bool)
 	for _, r := range d.Removed {
 		drop[r.String()] = true
@@ -89,16 +104,14 @@ func oracleWithDiff(l *List, d Diff) *List {
 		}
 		rules = append(rules, r)
 	}
-	c := NewList(append(rules, d.Added...))
-	c.Date, c.Version = l.Date, l.Version
-	return c
+	return oracleCanonical(append(rules, d.Added...))
 }
 
 // randRule draws from a small label alphabet so that keys collide,
 // plain rules meet their wildcards, and exceptions meet (or miss)
 // their covering wildcard.
 func randRule(rng *rand.Rand) Rule {
-	labels := []string{"aa", "bb", "ck", "com", "xn--p1ai", "a1", "b-2"}
+	labels := []string{"aa", "b", "bb", "ck", "com", "xn--p1ai", "a1", "b-2"}
 	parts := make([]string, 1+rng.Intn(3))
 	for i := range parts {
 		parts[i] = labels[rng.Intn(len(labels))]
@@ -164,8 +177,8 @@ func collect(seq func(yield func(Rule) bool)) []Rule {
 
 func checkCanonical(t *testing.T, l *List, what string) {
 	t.Helper()
-	if got, want := l.SortedRules(), oracleSorted(l); !slices.Equal(got, want) {
-		t.Fatalf("%s: SortedRules = %v, want sorted Rules() %v", what, got, want)
+	if got, want := l.Rules(), oracleSorted(l); !slices.Equal(got, want) {
+		t.Fatalf("%s: Rules = %v, want them sorted %v", what, got, want)
 	}
 	if got, want := l.Serialize(), oracleSerialize(l); got != want {
 		t.Fatalf("%s: Serialize diverges from the sort oracle:\n%s\nvs\n%s", what, got, want)
@@ -176,9 +189,8 @@ func checkCanonical(t *testing.T, l *List, what string) {
 }
 
 // TestWithDiffKeepsCanonicalOrder: after any chain of deltas, a list's
-// canonical order is its first-seen rules sorted, its first-seen order
-// is what the map-based apply produced, and its canonical outputs are
-// byte-identical to the sort oracle's.
+// rules are what the map-based apply produced, sorted, and its
+// canonical outputs are byte-identical to the sort oracle's.
 func TestWithDiffKeepsCanonicalOrder(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -198,11 +210,14 @@ func TestWithDiffKeepsCanonicalOrder(t *testing.T) {
 			d := randDiff(rng, l)
 			next := l.WithDiff(d)
 			want := oracleWithDiff(l, d)
-			if !slices.Equal(next.Rules(), want.Rules()) {
-				t.Fatalf("seed %d step %d: Rules() = %v, want %v (diff %+v)", seed, step, next.Rules(), want.Rules(), d)
+			if !slices.Equal(next.Rules(), want) {
+				t.Fatalf("seed %d step %d: Rules() = %v, want %v (diff %+v)", seed, step, next.Rules(), want, d)
+			}
+			if next.Date != l.Date || next.Version != l.Version {
+				t.Fatalf("seed %d step %d: metadata not kept", seed, step)
 			}
 			checkCanonical(t, next, "derived")
-			if !slices.Equal(collect(MergeDiff(l.SortedRules(), d)), next.SortedRules()) {
+			if !slices.Equal(collect(MergeDiff(l.Rules(), d)), next.Rules()) {
 				t.Fatalf("seed %d step %d: MergeDiff disagrees with WithDiff", seed, step)
 			}
 			l = next
@@ -210,15 +225,19 @@ func TestWithDiffKeepsCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestCanonicalOutputsMatchSortOracle: a NewList list's lazily sorted
-// order gives the same Serialize and Fingerprint bytes as the sort
-// oracle, with and without metadata.
+// TestCanonicalOutputsMatchSortOracle: NewList keeps the first rule of
+// each key in sorted order, and gives the same Serialize and
+// Fingerprint bytes as the sort oracle, with and without metadata.
 func TestCanonicalOutputsMatchSortOracle(t *testing.T) {
 	checkCanonical(t, MustParse(fixtureList), "fixture")
 	checkCanonical(t, NewList(nil), "empty")
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		l := NewList(randRules(rng, rng.Intn(60)))
+		rules := randRules(rng, rng.Intn(60))
+		l := NewList(rules)
+		if want := oracleCanonical(rules); !slices.Equal(l.Rules(), want) {
+			t.Fatalf("seed %d: NewList rules = %v, want %v", seed, l.Rules(), want)
+		}
 		if seed%2 == 0 {
 			l.Version = "v0007-abc"
 			l.Date = time.Unix(1_600_000_000+seed, 0)
@@ -303,7 +322,8 @@ func FuzzListLintMatchesText(f *testing.F) {
 }
 
 // TestCanonicalOrderConcurrentFirstUse: goroutines racing to a cold
-// list's first sort, and to deltas derived from it, all see one order.
+// list's first compile and fingerprint, and to deltas derived from it,
+// all see one order.
 func TestCanonicalOrderConcurrentFirstUse(t *testing.T) {
 	l := MustParse(fixtureList)
 	want := oracleSerialize(l)
@@ -315,7 +335,7 @@ func TestCanonicalOrderConcurrentFirstUse(t *testing.T) {
 			defer wg.Done()
 			switch g % 4 {
 			case 0:
-				l.SortedRules()
+				l.Matcher()
 			case 1:
 				l.Fingerprint()
 			case 2:

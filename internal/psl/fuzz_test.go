@@ -72,6 +72,7 @@ func FuzzMatchersDifferential(f *testing.F) {
 		{"com\n*.com\nfoo.com\n", "foo.com"},
 		{"b\n!b\n", "a.b"},
 		{"公司.cn\ncn\n", "食狮.公司.cn"},
+		{hyphenSiblings, "d.c.b.a.com"},
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1])

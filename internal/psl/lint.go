@@ -144,7 +144,7 @@ func (l *List) Lint() []LintFinding {
 	if !l.Date.IsZero() {
 		lt.line++
 	}
-	sorted := l.SortedRules()
+	sorted := l.rules
 	var coexist []lintRule
 	for _, sec := range [...]Section{SectionICANN, SectionPrivate, SectionUnknown} {
 		open := false

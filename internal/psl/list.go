@@ -9,7 +9,6 @@ import (
 	"hash"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -27,14 +26,10 @@ const (
 // rules plus metadata identifying the version. The zero value is an empty
 // list on which lookups fall back to the implicit "*" rule.
 type List struct {
+	// rules in strictly ascending CompareRules order, one per key: the
+	// list's only order, the one Serialize, Fingerprint, the dist codec
+	// and the packed matcher read.
 	rules []Rule
-	// index of rule by canonical string, for set operations.
-	byKey map[string]int
-	// the rules in CompareRules order; see (*List).SortedRules. NewList
-	// sorts them on first use; WithDiff and NewSortedList set them at
-	// construction, so a list derived by deltas never sorts.
-	sortedOnce sync.Once
-	sorted     []Rule
 	// lazily compiled matcher; see (*List).Matcher.
 	matcherOnce sync.Once
 	matcher     *PackedMatcher
@@ -50,40 +45,35 @@ type List struct {
 	Version string
 }
 
-// NewList builds a List from rules, dropping exact duplicates while
-// preserving first-seen order. Metadata fields may be set on the result.
+// NewList builds a List from rules in any order, keeping the first rule
+// given for each key (Section is not part of a key). Metadata fields
+// may be set on the result.
 func NewList(rules []Rule) *List {
-	l := &List{
-		rules: make([]Rule, 0, len(rules)),
-		byKey: make(map[string]int, len(rules)),
-	}
-	for _, r := range rules {
-		k := r.String()
-		if _, dup := l.byKey[k]; dup {
-			continue
-		}
-		l.byKey[k] = len(l.rules)
-		l.rules = append(l.rules, r)
-	}
-	return l
+	return &List{rules: sortRules(rules, false)}
 }
 
 // NewSortedList builds a List from rules that are already in strictly
-// ascending CompareRules order (so free of duplicate keys), adopting
-// that order as the canonical one without sorting. Rules out of order
-// or repeating a key are refused with an error wrapping
-// ErrNotCanonical. The dist codec builds lists from full snapshot blobs
-// this way.
+// ascending CompareRules order (so free of duplicate keys), copying
+// them without sorting. Rules out of order or repeating a key are
+// refused with an error wrapping ErrNotCanonical. The dist codec builds
+// lists from full snapshot blobs this way.
 func NewSortedList(rules []Rule) (*List, error) {
+	if i := unsortedAt(rules); i > 0 {
+		return nil, fmt.Errorf("%w: rule %d (%s) does not sort after rule %d (%s)",
+			ErrNotCanonical, i, rules[i], i-1, rules[i-1])
+	}
+	return &List{rules: slices.Clone(rules)}, nil
+}
+
+// unsortedAt returns the first index whose rule does not sort strictly
+// after the one before it, or 0 when rules strictly ascend.
+func unsortedAt(rules []Rule) int {
 	for i := 1; i < len(rules); i++ {
 		if compareRules(rules[i-1], rules[i]) >= 0 {
-			return nil, fmt.Errorf("%w: rule %d (%s) does not sort after rule %d (%s)",
-				ErrNotCanonical, i, rules[i], i-1, rules[i-1])
+			return i
 		}
 	}
-	l := NewList(rules)
-	l.sortedOnce.Do(func() { l.sorted = l.rules })
-	return l, nil
+	return 0
 }
 
 // ErrNotCanonical is wrapped by NewSortedList when its rules are not in
@@ -94,45 +84,15 @@ var ErrNotCanonical = errors.New("psl: rules not in canonical order")
 // tracks over time.
 func (l *List) Len() int { return len(l.rules) }
 
-// Rules returns the rules in first-seen order. The slice is shared; do
-// not modify it.
+// Rules returns the rules in canonical CompareRules order. The slice is
+// shared; do not modify it.
 func (l *List) Rules() []Rule { return l.rules }
 
-// SortedRules returns the rules in canonical CompareRules order, the
-// order Serialize, Fingerprint and the dist codec emit. A list from
-// NewList sorts a copy once, on first use; lists from NewSortedList and
-// WithDiff already hold it. The slice is shared; do not modify it.
-func (l *List) SortedRules() []Rule {
-	l.sortedOnce.Do(func() {
-		l.sorted = slices.Clone(l.rules)
-		slices.SortFunc(l.sorted, compareRules)
-	})
-	return l.sorted
-}
-
 // Contains reports whether the exact rule (including wildcard/exception
-// markers) is present.
+// markers, but not its Section) is present.
 func (l *List) Contains(r Rule) bool {
-	_, ok := l.byKey[r.String()]
+	_, ok := slices.BinarySearchFunc(l.rules, r, compareRules)
 	return ok
-}
-
-// ContainsSuffix reports whether any rule (of any kind) exists for the
-// given literal suffix string as written in list syntax, e.g. "co.uk" or
-// "*.ck".
-func (l *List) ContainsSuffix(s string) bool {
-	_, ok := l.byKey[s]
-	return ok
-}
-
-// ComponentHistogram counts rules by their written component count
-// (Figure 2's breakdown). Keys are component counts, values rule counts.
-func (l *List) ComponentHistogram() map[int]int {
-	h := make(map[int]int)
-	for _, r := range l.rules {
-		h[r.Components()]++
-	}
-	return h
 }
 
 // MaxRules is the most rule lines Parse accepts: the packed matcher
@@ -238,11 +198,10 @@ func (l *List) WriteTo(w io.Writer) (int64, error) {
 		{SectionPrivate, beginPrivate, endPrivate},
 		{SectionUnknown, "", ""},
 	}
-	sorted := l.SortedRules()
 	var line []byte
 	for _, s := range sections {
 		open := false
-		for _, r := range sorted {
+		for _, r := range l.rules {
 			if r.Section != s.sec {
 				continue
 			}
@@ -278,13 +237,16 @@ func (l *List) Serialize() string {
 	return b.String()
 }
 
-// Fingerprint returns the SHA-256 of the canonical serialization of the
-// rule set only (metadata excluded), hex-encoded. Two lists with the same
-// rules fingerprint identically regardless of date or version labels;
-// the scanner uses this for exact version identification. The rules
-// are immutable, so it is computed once per list and memoised.
+// Fingerprint returns the hex SHA-256 of the rule lines in canonical
+// order, each in list-file syntax and ending "\n", with no metadata and
+// no section markers. Two lists with the same rules fingerprint
+// identically regardless of date or version labels, and of which
+// section each rule sits in: a pure section move keeps the fingerprint,
+// which is why dist.Origin.Publish refuses one. The scanner uses it for
+// exact version identification. The rules are immutable, so it is
+// computed once per list and memoised.
 func (l *List) Fingerprint() string {
-	l.fpOnce.Do(func() { l.fp = FingerprintOfSorted(l.SortedRules()) })
+	l.fpOnce.Do(func() { l.fp = FingerprintOfSorted(l.rules) })
 	return l.fp
 }
 
@@ -343,25 +305,13 @@ func (rh *ruleHash) sum() string {
 }
 
 // Equal reports whether two lists contain exactly the same rules
-// (sections included), ignoring order and metadata.
-func (l *List) Equal(other *List) bool {
-	if l.Len() != other.Len() {
-		return false
-	}
-	for k := range l.byKey {
-		if _, ok := other.byKey[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
+// (sections included), ignoring metadata.
+func (l *List) Equal(other *List) bool { return slices.Equal(l.rules, other.rules) }
 
-// Clone returns a deep copy sharing no state, with the same metadata.
+// Clone returns a copy with the same rules and metadata, sharing no
+// state with the receiver.
 func (l *List) Clone() *List {
-	c := NewList(l.rules)
-	c.Date = l.Date
-	c.Version = l.Version
-	return c
+	return &List{rules: slices.Clone(l.rules), Date: l.Date, Version: l.Version}
 }
 
 // WithRules returns a new list with the given rules added (duplicates
@@ -380,47 +330,18 @@ func (l *List) WithoutRules(remove ...Rule) *List {
 // metadata; the receiver is unchanged. Removals apply first: a rule in
 // d.Removed is dropped (an absent one is ignored), a surviving rule
 // named in d.Moved takes that entry's Section (the last entry for a
-// key wins), and a rule in d.Added is appended unless its key survives
-// (the first entry for a key wins). A removed and re-added key ends up
-// at the end, carrying the added rule's Section. These are the
-// semantics of history.ListAt's replay and of NewList's dedup.
-//
-// The result's canonical order comes from merging the receiver's with
-// the delta (MergeDiff), never from a sort, so a list derived by any
-// chain of deltas from a bootstrapped one sorts nothing.
+// key wins), and a rule in d.Added is added unless its key survives
+// (the first entry for a key wins), so a removed and re-added key
+// carries the added rule's Section. These are the semantics of
+// history's replay and of NewList's dedup. The result is MergeDiff's
+// sequence, collected: one merge, no sort.
 func (l *List) WithDiff(d Diff) *List {
 	rules := make([]Rule, 0, len(l.rules)+len(d.Added))
-	rules = append(rules, l.rules...)
-	for _, r := range d.Moved {
-		if i, ok := l.byKey[r.String()]; ok {
-			rules[i].Section = r.Section
-		}
-	}
-	if len(d.Removed) > 0 {
-		drop := make(map[int]bool, len(d.Removed))
-		for _, r := range d.Removed {
-			if i, ok := l.byKey[r.String()]; ok {
-				drop[i] = true
-			}
-		}
-		kept := rules[:0]
-		for i, r := range rules {
-			if !drop[i] {
-				kept = append(kept, r)
-			}
-		}
-		rules = kept
-	}
-	c := NewList(append(rules, d.Added...)) // NewList drops keys already present
-	sorted := make([]Rule, 0, len(c.rules))
-	MergeDiff(l.SortedRules(), d)(func(r Rule) bool {
-		sorted = append(sorted, r)
+	MergeDiff(l.rules, d)(func(r Rule) bool {
+		rules = append(rules, r)
 		return true
 	})
-	c.sortedOnce.Do(func() { c.sorted = sorted })
-	c.Date = l.Date
-	c.Version = l.Version
-	return c
+	return &List{rules: rules, Date: l.Date, Version: l.Version}
 }
 
 // MergeDiff returns the sequence of rules WithDiff's result holds,
@@ -486,22 +407,49 @@ func MergeDiff(base []Rule, d Diff) func(yield func(Rule) bool) {
 }
 
 // sortedDelta returns rules in strictly ascending CompareRules order:
-// rules itself when already so, otherwise a sorted copy keeping one
-// rule per key, the first given or, with keepLast, the last.
+// rules itself when already so, otherwise sortRules' sorted copy.
 func sortedDelta(rules []Rule, keepLast bool) []Rule {
-	ascending := true
-	for i := 1; i < len(rules) && ascending; i++ {
-		ascending = compareRules(rules[i-1], rules[i]) < 0
+	if unsortedAt(rules) > 0 {
+		return sortRules(rules, keepLast)
 	}
-	if ascending {
-		return rules
+	return rules
+}
+
+// sortRules returns a copy of rules in strictly ascending CompareRules
+// order, keeping one rule per key: the first given or, with keepLast,
+// the last. It sorts precomputed keys (see appendSortKey), one memcmp
+// per comparison instead of a label walk, and breaks ties by position.
+func sortRules(rules []Rule, keepLast bool) []Rule {
+	var buf []byte
+	for _, r := range rules {
+		buf = appendSortKey(buf, r)
 	}
-	s := slices.Clone(rules)
-	if keepLast {
-		slices.Reverse(s)
+	keys := string(buf)
+	type keyed struct {
+		key string
+		at  int
 	}
-	slices.SortStableFunc(s, compareRules)
-	return slices.CompactFunc(s, func(a, b Rule) bool { return compareRules(a, b) == 0 })
+	ks := make([]keyed, len(rules))
+	for i, r := range rules {
+		n := len(r.Suffix) + 1
+		ks[i], keys = keyed{keys[:n], i}, keys[n:]
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := strings.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		if keepLast {
+			return b.at - a.at
+		}
+		return a.at - b.at
+	})
+	out := make([]Rule, 0, len(ks))
+	for i, k := range ks {
+		if i == 0 || k.key != ks[i-1].key {
+			out = append(out, rules[k.at])
+		}
+	}
+	return out
 }
 
 // Diff describes the rule-set delta from an old version to a new one.
@@ -517,46 +465,32 @@ type Diff struct {
 }
 
 // DiffLists computes the rules added, removed, and section-moved going
-// from old to new, in canonical order.
+// from old to new, each in canonical order, by one merge of the two
+// lists' rules.
 func DiffLists(old, new *List) Diff {
 	var d Diff
-	for _, r := range new.rules {
-		i, ok := old.byKey[r.String()]
+	a, b := old.rules, new.rules
+	for len(a) > 0 || len(b) > 0 {
+		c := 1 // only b left, or b's head sorts first
 		switch {
-		case !ok:
-			d.Added = append(d.Added, r)
-		case old.rules[i].Section != r.Section:
-			d.Moved = append(d.Moved, r)
+		case len(b) == 0:
+			c = -1
+		case len(a) > 0:
+			c = compareRules(a[0], b[0])
+		}
+		switch {
+		case c < 0:
+			d.Removed = append(d.Removed, a[0])
+			a = a[1:]
+		case c > 0:
+			d.Added = append(d.Added, b[0])
+			b = b[1:]
+		default:
+			if a[0].Section != b[0].Section {
+				d.Moved = append(d.Moved, b[0])
+			}
+			a, b = a[1:], b[1:]
 		}
 	}
-	for _, r := range old.rules {
-		if !new.Contains(r) {
-			d.Removed = append(d.Removed, r)
-		}
-	}
-	sort.Slice(d.Added, func(i, j int) bool { return compareRules(d.Added[i], d.Added[j]) < 0 })
-	sort.Slice(d.Removed, func(i, j int) bool { return compareRules(d.Removed[i], d.Removed[j]) < 0 })
-	sort.Slice(d.Moved, func(i, j int) bool { return compareRules(d.Moved[i], d.Moved[j]) < 0 })
 	return d
-}
-
-// Jaccard computes the Jaccard similarity |A∩B| / |A∪B| of two rule
-// sets, in [0, 1]. The scanner uses it to find the nearest known version
-// of an unrecognised embedded list.
-func Jaccard(a, b *List) float64 {
-	if a.Len() == 0 && b.Len() == 0 {
-		return 1
-	}
-	small, large := a, b
-	if small.Len() > large.Len() {
-		small, large = large, small
-	}
-	inter := 0
-	for k := range small.byKey {
-		if _, ok := large.byKey[k]; ok {
-			inter++
-		}
-	}
-	union := a.Len() + b.Len() - inter
-	return float64(inter) / float64(union)
 }

@@ -66,20 +66,6 @@ func (lm *LinearMatcher) Match(name string) Result {
 	return best
 }
 
-// LookupAll returns every explicit rule of the list that matches the
-// given normalized ASCII name, in list order — a diagnostic surface for
-// tools explaining why a name received its suffix (the prevailing rule
-// is whichever Match selects).
-func (l *List) LookupAll(name string) []Rule {
-	var out []Rule
-	for _, r := range l.Rules() {
-		if r.Match(name) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // preferRule breaks ties between two same-length prevailing rules
 // deterministically (normal over wildcard), matching the packed
 // compiler, which applies a node's normal rule before its wildcard.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 
 	"repro/internal/domain"
@@ -52,7 +51,8 @@ import (
 // deepest stored suffix of the name and reads the finished answer.
 //
 // Rule records (ruleWords uint32 each) are suffixOff | suffixLen |
-// kindFlags, exactly the shape the Rule decoder reads back.
+// kindFlags, exactly the shape the Rule decoder reads back, in strictly
+// ascending CompareRules order.
 type PackedMatcher struct {
 	table    []uint64 // capacity*slotWords, nil when the list is empty
 	ruleRecs []uint32 // nRules*ruleWords
@@ -157,17 +157,20 @@ func suffixHash(kLo, kHi uint64) uint64 {
 	return (kLo ^ kHi*hashM2) * hashM1
 }
 
-// pnode is one transient trie node of the compiler, keyed by its full
-// suffix string.
+// pnode is one transient trie node of the compiler.
 type pnode struct {
-	// rule indices into the list's rule order, or -1.
+	suffix string
+	// off is the suffix's offset in the arena; parent indexes the node
+	// one label shorter, or is -1 for a top-level label.
+	off    uint32
+	parent int32
+	// rule indices into the list's canonical order, or -1.
 	normal, wildcard, exception int32
-	labels                      int
+	labels                      int32
 	hasChildren                 bool
-	// resExact/resExt are the node's precomputed prevailing results
-	// (see the PackedMatcher comment), filled by the second compile
-	// pass once every ancestor exists.
-	resExact, resExt uint32
+	// ext is the node's prevailing result for a name extending past it,
+	// the base its children's results extend.
+	ext presult
 }
 
 // presult is one prevailing result while the compiler walks a node's
@@ -193,7 +196,7 @@ func applyPath(base presult, n *pnode, final bool) presult {
 	if base.frozen {
 		return base
 	}
-	depth := int32(n.labels)
+	depth := n.labels
 	if n.exception >= 0 {
 		return presult{labels: depth - 1, ref: uint32(n.exception) + 1, frozen: true}
 	}
@@ -207,10 +210,16 @@ func applyPath(base presult, n *pnode, final bool) presult {
 	return r
 }
 
-// NewPackedMatcher compiles the list into its packed representation.
-// Compilation registers every rule suffix and its ancestors as trie
-// nodes, then freezes them into the hash table in sorted-suffix order
-// (which makes the layout, and therefore Marshal, deterministic).
+// NewPackedMatcher compiles the list into its packed representation,
+// reading its rules in canonical order: rule references are canonical
+// indices, so the rule records come out in that order too. Each rule
+// registers its suffix and every ancestor as trie nodes, right-to-left,
+// so a parent is always created before its children; nodes take their
+// arena bytes and table slots in that creation order, which makes the
+// layout, and therefore Marshal, deterministic. A node's subtree is not
+// contiguous in canonical order ('-' sorts below '.', so a-x.com falls
+// between a.com and b.a.com), which is why existing nodes are found by
+// suffix.
 //
 // The packed encoding caps lists at MaxRules rules (Parse enforces it)
 // and suffixes at 2^16-1 bytes; the real list is three orders of
@@ -220,92 +229,60 @@ func NewPackedMatcher(l *List) *PackedMatcher {
 	if len(rules) >= packedRefMask {
 		panic("psl: list too large for packed matcher")
 	}
-	nodes := make(map[string]*pnode, len(rules)*2)
-	get := func(s string, labels int) *pnode {
-		n := nodes[s]
-		if n == nil {
-			n = &pnode{normal: -1, wildcard: -1, exception: -1, labels: labels}
-			nodes[s] = n
-		}
-		return n
-	}
+	pm := &PackedMatcher{nRules: len(rules), ruleRecs: make([]uint32, len(rules)*ruleWords)}
+	nodes := make([]pnode, 0, len(rules)*2)
+	bySuffix := make(map[string]int32, len(rules)*2)
+	var arena []byte
 	for ri, r := range rules {
 		name := r.Suffix
 		if len(name) > 0xffff {
 			panic("psl: rule suffix too long for packed matcher")
 		}
-		var last *pnode
-		labels := 0
-		for i := len(name); i > 0; {
-			j := strings.LastIndexByte(name[:i], '.')
-			s := name[j+1:]
-			i = j
-			labels++
+		last := int32(-1)
+		for i, labels := len(name), int32(1); i > 0; labels++ {
 			if labels >= packedResLabelsMax {
 				panic("psl: rule too deep for packed matcher")
 			}
-			n := get(s, labels)
-			if last != nil {
-				last.hasChildren = true
+			j := strings.LastIndexByte(name[:i], '.')
+			s := name[j+1:]
+			i = j
+			n, ok := bySuffix[s]
+			if !ok {
+				n = int32(len(nodes))
+				bySuffix[s] = n
+				nodes = append(nodes, pnode{suffix: s, off: uint32(len(arena)), parent: last,
+					normal: -1, wildcard: -1, exception: -1, labels: labels})
+				arena = append(arena, s...)
+			}
+			if last >= 0 {
+				nodes[last].hasChildren = true
 			}
 			last = n
 		}
-		if last == nil {
+		w := ri * ruleWords
+		kind := uint32(r.Section) << packedRuleSection
+		if r.Wildcard {
+			kind |= packedRuleWildcard
+		}
+		if r.Exception {
+			kind |= packedRuleException
+		}
+		pm.ruleRecs[w+2] = kind
+		if last < 0 {
 			continue // an empty suffix attaches nowhere
 		}
+		n := &nodes[last]
+		pm.ruleRecs[w], pm.ruleRecs[w+1] = n.off, uint32(len(name))
 		switch {
 		case r.Exception:
-			last.exception = int32(ri)
+			n.exception = int32(ri)
 		case r.Wildcard:
-			last.wildcard = int32(ri)
+			n.wildcard = int32(ri)
 		default:
-			last.normal = int32(ri)
+			n.normal = int32(ri)
 		}
 	}
 
-	// Second pass: precompute every node's prevailing results. Parents
-	// are processed before children (fewer labels first), so each node
-	// extends its parent's extended-name result by one step of the walk.
-	order := make([]string, 0, len(nodes))
-	for s := range nodes {
-		order = append(order, s)
-	}
-	sort.Slice(order, func(i, j int) bool { return nodes[order[i]].labels < nodes[order[j]].labels })
-	ext := make(map[string]presult, len(nodes))
-	for _, s := range order {
-		n := nodes[s]
-		base := presult{labels: 1} // the implicit "*" default
-		if n.labels > 1 {
-			// The parent suffix drops the leftmost label; it exists
-			// because the builder registers every ancestor.
-			base = ext[s[strings.IndexByte(s, '.')+1:]]
-		}
-		n.resExact = packResult(applyPath(base, n, true))
-		e := applyPath(base, n, false)
-		ext[s] = e
-		n.resExt = packResult(e)
-	}
-
-	// Intern every suffix into one arena.
-	var arena []byte
-	offs := make(map[string]uint32, len(nodes))
-	intern := func(s string) uint32 {
-		if off, ok := offs[s]; ok {
-			return off
-		}
-		off := uint32(len(arena))
-		arena = append(arena, s...)
-		offs[s] = off
-		return off
-	}
-
-	suffixes := make([]string, 0, len(nodes))
-	for s := range nodes {
-		suffixes = append(suffixes, s)
-	}
-	sort.Strings(suffixes)
-
-	pm := &PackedMatcher{nRules: len(rules), nNodes: len(nodes)}
 	if len(nodes) > 0 {
 		logCap := uint(1)
 		for 1<<logCap < len(nodes)+len(nodes)/2+1 {
@@ -314,44 +291,37 @@ func NewPackedMatcher(l *List) *PackedMatcher {
 		pm.table = make([]uint64, (1<<logCap)*slotWords)
 		pm.mask = 1<<logCap - 1
 		pm.shift = 64 - logCap
-		for _, s := range suffixes {
-			n := nodes[s]
-			kLo, kHi := suffixKeys(s)
-			idx := int(suffixHash(kLo, kHi) >> pm.shift)
-			for pm.table[idx*slotWords+2]&packedOccupied != 0 {
-				idx = (idx + 1) & pm.mask
-			}
-			b := idx * slotWords
-			meta := uint64(packedOccupied) |
-				uint64(n.labels)<<packedLabelsShift |
-				uint64(len(s))<<packedSlenShift |
-				uint64(intern(s))<<packedOffShift
-			if n.hasChildren {
-				meta |= packedHasChildren
-			}
-			pm.table[b] = kLo
-			pm.table[b+1] = kHi
-			pm.table[b+2] = meta
-			pm.table[b+3] = uint64(n.resExact) | uint64(n.resExt)<<32
+	}
+	// Every node's parent precedes it, so one pass in creation order
+	// extends each parent's finished extended-name result by one step
+	// of the walk and stores the node.
+	for i := range nodes {
+		n := &nodes[i]
+		base := presult{labels: 1} // the implicit "*" default
+		if n.parent >= 0 {
+			base = nodes[n.parent].ext
 		}
+		n.ext = applyPath(base, n, false)
+		kLo, kHi := suffixKeys(n.suffix)
+		idx := int(suffixHash(kLo, kHi) >> pm.shift)
+		for pm.table[idx*slotWords+2]&packedOccupied != 0 {
+			idx = (idx + 1) & pm.mask
+		}
+		b := idx * slotWords
+		meta := uint64(packedOccupied) |
+			uint64(n.labels)<<packedLabelsShift |
+			uint64(len(n.suffix))<<packedSlenShift |
+			uint64(n.off)<<packedOffShift
+		if n.hasChildren {
+			meta |= packedHasChildren
+		}
+		pm.table[b] = kLo
+		pm.table[b+1] = kHi
+		pm.table[b+2] = meta
+		pm.table[b+3] = uint64(packResult(applyPath(base, n, true))) | uint64(packResult(n.ext))<<32
 	}
 
-	pm.ruleRecs = make([]uint32, len(rules)*ruleWords)
-	for ri, r := range rules {
-		w := ri * ruleWords
-		pm.ruleRecs[w] = intern(r.Suffix)
-		pm.ruleRecs[w+1] = uint32(len(r.Suffix))
-		var kind uint32
-		if r.Wildcard {
-			kind |= packedRuleWildcard
-		}
-		if r.Exception {
-			kind |= packedRuleException
-		}
-		kind |= uint32(r.Section) << packedRuleSection
-		pm.ruleRecs[w+2] = kind
-	}
-
+	pm.nNodes = len(nodes)
 	pm.arena = string(arena)
 	pm.rules, pm.texts = decodeRules(pm.ruleRecs, pm.nRules, pm.arena)
 	return pm
@@ -508,12 +478,11 @@ func (pm *PackedMatcher) Len() int { return pm.nRules }
 // matcher was compiled from. Unmarshal's structural validation proves a
 // blob is a well-formed matcher; this digest proves it is the matcher
 // for a specific promised rule set, which is what lets a replica accept
-// a pre-compiled blob without recompiling the rules itself.
+// a pre-compiled blob without recompiling the rules itself. The rule
+// table is in canonical order (the compiler writes it so and Unmarshal
+// refuses any other), so this is one pass over it: no copy, no sort.
 func (pm *PackedMatcher) RulesFingerprint() string {
-	rules := make([]Rule, len(pm.rules))
-	copy(rules, pm.rules)
-	sort.Slice(rules, func(i, j int) bool { return CompareRules(rules[i], rules[j]) < 0 })
-	return FingerprintOfSorted(rules)
+	return FingerprintOfSorted(pm.rules)
 }
 
 // SizeBytes reports the compiled footprint: slot table, rule records,
@@ -528,8 +497,9 @@ func (pm *PackedMatcher) SizeBytes() int {
 const packedMagic = 0x50534c50
 
 // packedVersion is the blob format version; version 2 is the
-// suffix-hash-table layout.
-const packedVersion = 2
+// suffix-hash-table layout, and version 3 keeps its rule records in
+// canonical order and fills arena and slots in node-creation order.
+const packedVersion = 3
 
 // packedHeaderLen is the fixed header size in bytes: magic, version,
 // nRules, capacity, nNodes, arenaLen.
@@ -567,7 +537,8 @@ func (pm *PackedMatcher) Marshal() []byte {
 // UnmarshalPackedMatcher reconstitutes a compiled matcher from a blob
 // produced by Marshal, validating the structure exhaustively so that
 // truncated or corrupt blobs are rejected rather than producing a
-// matcher that walks out of bounds.
+// matcher that walks out of bounds, and refusing rule records that do
+// not strictly ascend in canonical order.
 func UnmarshalPackedMatcher(data []byte) (*PackedMatcher, error) {
 	le := binary.LittleEndian
 	if len(data) < packedHeaderLen {
@@ -629,6 +600,9 @@ func UnmarshalPackedMatcher(data []byte) (*PackedMatcher, error) {
 		return nil, err
 	}
 	pm.rules, pm.texts = decodeRules(recs, nRules, arena)
+	if i := unsortedAt(pm.rules); i > 0 {
+		return nil, fmt.Errorf("%w: rule %d does not sort after rule %d", ErrBadBlob, i, i-1)
+	}
 	return pm, nil
 }
 

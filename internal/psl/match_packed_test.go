@@ -1,6 +1,7 @@
 package psl
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -38,6 +39,42 @@ func TestPackedRandomised(t *testing.T) {
 			if got, want := pm.Match(name), lm.Match(name); got != want {
 				t.Fatalf("trial %d: packed.Match(%q) = %+v, linear says %+v\nrules: %v",
 					trial, name, got, want, l.Rules())
+			}
+		}
+	}
+}
+
+// hyphenSiblings interleaves subtrees in canonical order: '-' sorts
+// below '.', so a-x.com falls between a.com and a.com's children.
+const hyphenSiblings = beginICANN + "\ncom\na-x.com\n*.b.a.com\n" + endICANN + "\n" +
+	beginPrivate + "\nb.a.com\na.com\n!c.b.a.com\n" + endPrivate + "\n"
+
+// TestPackedHyphenInterleavedSiblings: a compile fed the canonical
+// order, where a node's subtree is not contiguous, still agrees with
+// the linear reference on every name around the interleaved suffixes.
+func TestPackedHyphenInterleavedSiblings(t *testing.T) {
+	l := MustParse(hyphenSiblings)
+	var order []string
+	for _, r := range l.Rules() {
+		order = append(order, r.String())
+	}
+	if got, want := strings.Join(order, " "), "com a.com a-x.com b.a.com *.b.a.com !c.b.a.com"; got != want {
+		t.Fatalf("canonical order %q, want %q", got, want)
+	}
+	lm := NewLinearMatcher(l)
+	pm := NewPackedMatcher(l)
+	back, err := UnmarshalPackedMatcher(pm.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"com", "a.com", "x.a.com", "a-x.com", "y.a-x.com", "b.a-x.com", "b.a.com",
+		"d.b.a.com", "e.d.b.a.com", "c.b.a.com", "f.c.b.a.com", "a-x.a.com", "b.a-x.a.com",
+	} {
+		want := lm.Match(name)
+		for _, m := range []*PackedMatcher{pm, back} {
+			if got := m.Match(name); got != want {
+				t.Errorf("packed.Match(%q) = %+v, linear says %+v", name, got, want)
 			}
 		}
 	}
@@ -134,14 +171,22 @@ func TestPackedUnmarshalRejectsCorrupt(t *testing.T) {
 	corrupt := func(name string, mutate func(b []byte)) {
 		b := append([]byte{}, blob...)
 		mutate(b)
-		if _, err := UnmarshalPackedMatcher(b); err == nil {
-			t.Errorf("%s accepted", name)
+		if _, err := UnmarshalPackedMatcher(b); !errors.Is(err, ErrBadBlob) {
+			t.Errorf("%s: err = %v, want ErrBadBlob", name, err)
 		}
 	}
 	corrupt("bad magic", func(b []byte) { b[0] ^= 0xff })
 	corrupt("bad version", func(b []byte) { b[4] = 99 })
 	corrupt("zero nodes", func(b []byte) { b[12], b[13], b[14], b[15] = 0, 0, 0, 0 })
 	corrupt("inflated rule count", func(b []byte) { b[8] = 0xff })
+	corrupt("swapped rule records", func(b []byte) {
+		r0 := b[packedHeaderLen : packedHeaderLen+ruleWords*4]
+		r1 := b[packedHeaderLen+ruleWords*4 : packedHeaderLen+2*ruleWords*4]
+		var tmp [ruleWords * 4]byte
+		copy(tmp[:], r0)
+		copy(r0, r1)
+		copy(r1, tmp[:])
+	})
 
 	// Flip bytes throughout the word region; any flip must either be
 	// rejected or still yield a structurally valid matcher that does

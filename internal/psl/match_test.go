@@ -155,22 +155,6 @@ func TestMatchersAgreeOnFixture(t *testing.T) {
 	}
 }
 
-func TestLookupAll(t *testing.T) {
-	l := MustParse("uk\nco.uk\n*.ck\n!www.ck\n")
-	rules := l.LookupAll("example.co.uk")
-	if len(rules) != 2 {
-		t.Fatalf("LookupAll = %v, want uk and co.uk", rules)
-	}
-	rules = l.LookupAll("www.ck")
-	// "*.ck" matches (www is the extra label) and "!www.ck" matches.
-	if len(rules) != 2 {
-		t.Fatalf("LookupAll(www.ck) = %v", rules)
-	}
-	if got := l.LookupAll("unrelated.zone"); got != nil {
-		t.Errorf("LookupAll(unrelated) = %v, want nil", got)
-	}
-}
-
 func TestWildcardNeedsExtraLabel(t *testing.T) {
 	l := MustParse("*.ck\n")
 	for _, m := range []Matcher{NewLinearMatcher(l), NewPackedMatcher(l)} {

@@ -313,7 +313,7 @@ func TestParseInlineComments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Len() != 2 || !l.ContainsSuffix("com") || !l.ContainsSuffix("net") {
+	if l.Len() != 2 || !l.Contains(Rule{Suffix: "com"}) || !l.Contains(Rule{Suffix: "net"}) {
 		t.Errorf("inline comments mishandled: %v", l.Rules())
 	}
 }
@@ -366,22 +366,22 @@ func TestDiffLists(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	a := MustParse("com\nnet\norg\n")
-	b := MustParse("com\nnet\nio\n")
-	got := Jaccard(a, b)
-	if got != 0.5 { // 2 shared / 4 union
-		t.Errorf("Jaccard = %v, want 0.5", got)
+// TestEqualComparesSections: two lists holding the same keys, one rule
+// in a different section, answer icann differently, so they are not
+// Equal.
+func TestEqualComparesSections(t *testing.T) {
+	a := MustParse(beginICANN + "\ncom\nexample.com\n" + endICANN + "\n")
+	b := MustParse(beginICANN + "\ncom\n" + endICANN + "\n" + beginPrivate + "\nexample.com\n" + endPrivate + "\n")
+	_, icannA, _ := a.PublicSuffix("www.example.com")
+	_, icannB, _ := b.PublicSuffix("www.example.com")
+	if icannA == icannB {
+		t.Fatalf("icann = %v under both lists; the fixture no longer differs", icannA)
 	}
-	if Jaccard(a, a) != 1 {
-		t.Error("Jaccard(a, a) != 1")
+	if a.Equal(b) || b.Equal(a) {
+		t.Error("lists differing in one rule's section are Equal")
 	}
-	empty := NewList(nil)
-	if Jaccard(empty, empty) != 1 {
-		t.Error("Jaccard of two empty lists should be 1")
-	}
-	if Jaccard(a, empty) != 0 {
-		t.Error("Jaccard with empty list should be 0")
+	if !a.Equal(a.Clone()) {
+		t.Error("a list is not Equal to its clone")
 	}
 }
 
@@ -445,14 +445,6 @@ func TestRuleUnicode(t *testing.T) {
 		if got := r.Unicode(); got != c.want {
 			t.Errorf("Unicode(%q) = %q, want %q", c.line, got, c.want)
 		}
-	}
-}
-
-func TestComponentHistogram(t *testing.T) {
-	l := MustParse("com\nnet\nco.uk\n*.ck\na.b.c\n")
-	h := l.ComponentHistogram()
-	if h[1] != 2 || h[2] != 2 || h[3] != 1 {
-		t.Errorf("histogram = %v", h)
 	}
 }
 

@@ -70,30 +70,12 @@ func TestQuickListSerializeRoundtrip(t *testing.T) {
 }
 
 // TestQuickDiffInvertible: applying a diff to the old list reproduces
-// the new list.
+// the new list, sections included.
 func TestQuickDiffInvertible(t *testing.T) {
 	f := func(a, b []genRule) bool {
 		old := NewList(convert(a))
 		new_ := NewList(convert(b))
-		d := DiffLists(old, new_)
-		applied := old.WithoutRules(d.Removed...).WithRules(d.Added...)
-		return applied.Equal(new_)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickJaccardBounds: similarity is in [0,1], symmetric, and 1 for
-// identical lists.
-func TestQuickJaccardBounds(t *testing.T) {
-	f := func(a, b []genRule) bool {
-		la, lb := NewList(convert(a)), NewList(convert(b))
-		j1, j2 := Jaccard(la, lb), Jaccard(lb, la)
-		if j1 != j2 || j1 < 0 || j1 > 1 {
-			return false
-		}
-		return Jaccard(la, la) == 1
+		return old.WithDiff(DiffLists(old, new_)).Equal(new_)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -200,17 +200,38 @@ func compareRules(a, b Rule) int {
 	if c := compareReversed(a.Suffix, b.Suffix); c != 0 {
 		return c
 	}
-	rank := func(r Rule) int {
-		switch {
-		case r.Exception:
-			return 2
-		case r.Wildcard:
-			return 1
-		default:
-			return 0
-		}
+	return int(a.rank()) - int(b.rank())
+}
+
+// rank orders the rule kinds sharing one suffix: plain, wildcard,
+// exception.
+func (r Rule) rank() byte {
+	switch {
+	case r.Exception:
+		return 2
+	case r.Wildcard:
+		return 1
+	default:
+		return 0
 	}
-	return rank(a) - rank(b)
+}
+
+// appendSortKey appends r's sort key: its suffix with the labels in
+// reverse order, then its rank byte. Keys compare bytewise as the rules
+// do under CompareRules: the reversed suffixes compare as
+// compareReversed does, and a rank byte sorts below every label byte
+// and '.', as the end of a reversed suffix does.
+func appendSortKey(b []byte, r Rule) []byte {
+	s := r.Suffix
+	for {
+		i := strings.LastIndexByte(s, '.')
+		b = append(b, s[i+1:]...)
+		if i < 0 {
+			return append(b, r.rank())
+		}
+		b = append(b, '.')
+		s = s[:i]
+	}
 }
 
 // compareReversed returns the sign of
