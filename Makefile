@@ -58,6 +58,7 @@ bench-sanity:
 	go test -run '^$$' -bench 'BenchmarkMatcherAblation|BenchmarkPackedCompile9k' -benchtime=1x ./internal/psl/
 	go test -run '^$$' -bench 'BenchmarkServeLookup|BenchmarkAblationIncremental|BenchmarkTable2MissingETLDs|BenchmarkSubmitPublish|BenchmarkListFingerprint' -benchtime=1x .
 	go test -run '^$$' -bench 'BenchmarkPatchChain|BenchmarkPatchApply' -benchtime=1x ./internal/dist/
+	go test -run '^$$' -bench 'BenchmarkPipelineBuild' -cpu 1,2 -benchtime=1x ./internal/core/
 	go test -run 'ZeroAlloc' -count=1 ./internal/psl/ ./internal/serve/ ./internal/obs/ ./internal/resilience/ ./internal/failpoint/
 
 # Scrape a locally running pslserver and lint the exposition.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -112,6 +114,73 @@ func TestNewPipelineAllocsFlat(t *testing.T) {
 	if allocs >= limit {
 		t.Errorf("NewPipeline over %d hosts made %.0f allocations, want < %.0f",
 			len(testSnapshot.Hosts), allocs, limit)
+	}
+}
+
+// TestPipelineWorkersAgree proves the sharded build independent of its
+// worker count: every count yields the same step functions, the same
+// site per step, no site interned twice, and the same Figures 5-7.
+func TestPipelineWorkersAgree(t *testing.T) {
+	ref := newPipeline(testHistory, testSnapshot, 1)
+	refSites, refThird, refDiv := ref.SitesSeries(), ref.ThirdPartySeries(), ref.DivergenceSeries()
+	for _, workers := range []int{1, 2, 3, 8} {
+		p := newPipeline(testHistory, testSnapshot, workers)
+		if !slices.Equal(p.off, ref.off) || !slices.Equal(p.seqs, ref.seqs) || !slices.Equal(p.finalSL, ref.finalSL) {
+			t.Fatalf("%d workers: step functions differ from the 1-worker build", workers)
+		}
+		for j := range p.site {
+			if got, want := p.siteNames[p.site[j]], ref.siteNames[ref.site[j]]; got != want {
+				t.Fatalf("%d workers: step %d has site %q, 1 worker %q", workers, j, got, want)
+			}
+		}
+		seen := make(map[string]bool, len(p.siteNames))
+		for _, name := range p.siteNames {
+			if seen[name] {
+				t.Fatalf("%d workers: site %q interned twice", workers, name)
+			}
+			seen[name] = true
+		}
+		if !slices.Equal(p.SitesSeries(), refSites) {
+			t.Errorf("%d workers: Figure 5 differs", workers)
+		}
+		if !slices.Equal(p.ThirdPartySeries(), refThird) {
+			t.Errorf("%d workers: Figure 6 differs", workers)
+		}
+		if !slices.Equal(p.DivergenceSeries(), refDiv) {
+			t.Errorf("%d workers: Figure 7 differs", workers)
+		}
+	}
+}
+
+// TestPipelineIDsRepeat: two builds on the same worker count assign the
+// same site ids.
+func TestPipelineIDsRepeat(t *testing.T) {
+	a := newPipeline(testHistory, testSnapshot, 3)
+	b := newPipeline(testHistory, testSnapshot, 3)
+	if !slices.Equal(a.site, b.site) || !slices.Equal(a.siteNames, b.siteNames) {
+		t.Error("two 3-worker builds assigned different site ids")
+	}
+}
+
+// TestSiteTableCollision drives the 64-bit collision path: different
+// sites under one hash get distinct ids, and a repeated site its first.
+func TestSiteTableCollision(t *testing.T) {
+	st := newSiteTable(make([]string, 0, 4))
+	const h = 42
+	a, b, c := st.intern(h, "a.example"), st.intern(h, "b.example"), st.intern(h, "c.example")
+	if a == b || b == c || a == c {
+		t.Fatalf("colliding sites share ids: %d %d %d", a, b, c)
+	}
+	for site, want := range map[string]int32{"a.example": a, "b.example": b, "c.example": c} {
+		if got := st.intern(h, site); got != want {
+			t.Errorf("%s re-interned as %d, first id %d", site, got, want)
+		}
+		if st.names[want] != site {
+			t.Errorf("id %d names %q, want %q", want, st.names[want], site)
+		}
+	}
+	if d := st.intern(h+1, "a.example.org"); d != 3 || len(st.names) != 4 {
+		t.Errorf("fresh hash got id %d with %d names, want 3 and 4", d, len(st.names))
 	}
 }
 
@@ -474,4 +543,22 @@ func BenchmarkPipelineFullSampled(b *testing.B) {
 			SitesAtVersionFull(l, testSnapshot.Hosts)
 		}
 	}
+}
+
+// fullScale is the scale-1.0 snapshot (~399k hosts), generated on first
+// use so that only BenchmarkPipelineBuild pays for it.
+var fullScale = sync.OnceValue(func() *httparchive.Snapshot {
+	return httparchive.Generate(httparchive.Config{Seed: 1, Scale: 1.0}, testHistory)
+})
+
+// BenchmarkPipelineBuild measures NewPipeline over the scale-1.0
+// snapshot on GOMAXPROCS workers; run it with -cpu 1,2 to see the
+// sharded build's scaling.
+func BenchmarkPipelineBuild(b *testing.B) {
+	snap := fullScale()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewPipeline(testHistory, snap)
+	}
+	b.ReportMetric(float64(len(snap.Hosts))*float64(b.N)/b.Elapsed().Seconds(), "hosts/s")
 }

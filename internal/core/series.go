@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/httparchive"
 	"repro/internal/psl"
 )
 
@@ -71,10 +72,33 @@ func (p *Pipeline) SitesSeries() []SitesPoint {
 // ThirdPartySeries computes Figure 6: the number of requests classified
 // third-party under every list version. A request is third-party when
 // the page host and request host map to different sites (Section 2).
+// The build's workers each take a contiguous share of the pairs into
+// their own difference array; the arrays are summed at the end.
 func (p *Pipeline) ThirdPartySeries() []int64 {
 	n := p.H.Len()
+	pairs := p.Snap.Pairs
+	diffs := make([][]int64, p.workers)
+	parallel(p.workers, func(w int) {
+		diffs[w] = p.thirdPartyDiff(pairs[w*len(pairs)/p.workers : (w+1)*len(pairs)/p.workers])
+	})
+	out := make([]int64, n)
+	var run int64
+	for seq := 0; seq < n; seq++ {
+		for _, diff := range diffs {
+			run += diff[seq]
+		}
+		out[seq] = run
+	}
+	return out
+}
+
+// thirdPartyDiff returns the difference array of the third-party counts
+// of the given pairs: the count at version seq is the sum of entries up
+// to seq.
+func (p *Pipeline) thirdPartyDiff(pairs []httparchive.Pair) []int64 {
+	n := p.H.Len()
 	diff := make([]int64, n+1)
-	for _, pair := range p.Snap.Pairs {
+	for _, pair := range pairs {
 		pSeqs, pSite := p.steps(int(pair.Page))
 		rSeqs, rSite := p.steps(int(pair.Req))
 		// Merge the two step functions, emitting intervals where the
@@ -103,13 +127,7 @@ func (p *Pipeline) ThirdPartySeries() []int64 {
 			start = end
 		}
 	}
-	out := make([]int64, n)
-	var run int64
-	for seq := 0; seq < n; seq++ {
-		run += diff[seq]
-		out[seq] = run
-	}
-	return out
+	return diff
 }
 
 // DivergenceSeries computes Figure 7: for every version, the number of
