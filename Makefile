@@ -7,9 +7,11 @@ all: build test
 build:
 	go build ./...
 
-# perfbench is a nested module that ./... skips; it links against the
-# library packages, so its build and tests run here too.
+# Vets the root module as CI's first step does. perfbench is a nested
+# module that ./... skips; it links against the library packages, so
+# its build and tests run here too.
 test:
+	go vet ./...
 	go test ./...
 	cd perfbench && go vet ./... && go test ./...
 

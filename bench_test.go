@@ -146,7 +146,7 @@ func BenchmarkMisclassifiedSeries(b *testing.B) {
 }
 
 // BenchmarkStalenessCompare runs the update-policy Monte Carlo with the
-// measured harm curve.
+// measured harm curve, fanned across policies on GOMAXPROCS workers.
 func BenchmarkStalenessCompare(b *testing.B) {
 	e := env(b)
 	harm := e.Pipeline().HarmCurve()
@@ -164,18 +164,6 @@ func BenchmarkHarmByCategory(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Pipeline().HarmByCategory(e.Corpus, db)
-	}
-}
-
-// BenchmarkStalenessCompareParallel is the Monte Carlo fanned across
-// policies (bit-identical results to BenchmarkStalenessCompare's body).
-func BenchmarkStalenessCompareParallel(b *testing.B) {
-	e := env(b)
-	harm := e.Pipeline().HarmCurve()
-	cfg := staleness.Config{Seed: history.DefaultSeed, HorizonDays: 5 * 365, Trials: 10}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		staleness.CompareParallel(cfg, staleness.DefaultPolicies(), harm, 0)
 	}
 }
 

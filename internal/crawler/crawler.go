@@ -30,10 +30,6 @@ type Config struct {
 	// Client performs the requests; tests supply one whose transport
 	// dials every host to a local server. Default http.DefaultClient.
 	Client *http.Client
-	// FetchSubresources controls whether script/img URLs are fetched
-	// (they are always *recorded*); fetching exercises the servers but
-	// costs requests. Default false.
-	FetchSubresources bool
 }
 
 func (c Config) withDefaults() Config {
@@ -136,10 +132,8 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 						continue
 					}
 					hosts[h] = true
-					if h != pageHost {
+					if h != pageHost { // self requests are dropped
 						pairs[[2]string{pageHost, h}]++
-					} else {
-						pairs[[2]string{pageHost, h}] += 0 // self requests are dropped
 					}
 				}
 				for _, link := range page.links {
@@ -151,12 +145,6 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			cond.Broadcast()
 			mu.Unlock()
-
-			if err == nil && cfg.FetchSubresources {
-				for _, res := range page.resources {
-					fetchBody(ctx, cfg.Client, res)
-				}
-			}
 		}
 	}
 
@@ -173,9 +161,6 @@ func Crawl(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	sort.Strings(res.Hosts)
 	for k, n := range pairs {
-		if n == 0 {
-			continue
-		}
 		res.Pairs = append(res.Pairs, Pair{PageHost: k[0], ReqHost: k[1], Count: n})
 	}
 	sort.Slice(res.Pairs, func(i, j int) bool {
@@ -216,20 +201,6 @@ func fetchPage(ctx context.Context, client *http.Client, url string) (*pageConte
 	page.resources = extractAttr(string(body), `src="`)
 	page.links = extractAttr(string(body), `href="`)
 	return page, nil
-}
-
-// fetchBody GETs a subresource and discards it.
-func fetchBody(ctx context.Context, client *http.Client, url string) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
 }
 
 // extractAttr scans HTML for attribute values introduced by the given

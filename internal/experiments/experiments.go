@@ -246,9 +246,9 @@ func (e *Env) Misclassified() string {
 // hostnames via the measured harm curve (see package staleness).
 func (e *Env) Staleness() string {
 	harm := e.Pipeline().HarmCurve()
-	results := staleness.CompareParallel(
+	results := staleness.Compare(
 		staleness.Config{Seed: e.Seed, HorizonDays: 5 * 365, Trials: 50},
-		staleness.DefaultPolicies(), harm, 0)
+		staleness.DefaultPolicies(), harm)
 	t := report.NewTable("Extension: expected staleness and harm per update policy (5-year Monte Carlo)",
 		"policy", "mean age (d)", "median (d)", "p95 (d)", "mean missing hostnames").
 		AlignRight(1, 2, 3, 4)

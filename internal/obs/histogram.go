@@ -22,17 +22,18 @@ var DefaultLatencyBuckets = []float64{
 	1, 2.5,
 }
 
-// Histogram is a fixed-bucket duration histogram. Observe is lock-free
+// Histogram is a fixed-bucket duration histogram, read only through
+// the Prometheus exposition (_bucket, _sum, _count); quantiles are
+// estimated from that exposition by its readers. Observe is lock-free
 // and allocation-free: one linear scan over the (small, immutable)
-// bound slice, then three atomic updates — bucket, count-equivalent
-// (derived at read time), sum — plus a CAS max. Bucket counts are
-// per-bucket (not cumulative); readers accumulate, which keeps Observe
-// to a single contended cell per call.
+// bound slice, then two atomic adds — bucket and sum; the count is
+// derived at read time. Bucket counts are per-bucket (not cumulative);
+// readers accumulate, which keeps Observe to a single contended cell
+// per call.
 type Histogram struct {
 	bounds   []float64       // sorted upper bounds, seconds; +Inf implicit
 	counts   []atomic.Uint64 // len(bounds)+1, last is the +Inf bucket
 	sumNanos atomic.Int64
-	maxNanos atomic.Int64
 }
 
 // NewHistogram creates a histogram over the given bucket upper bounds
@@ -67,12 +68,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.counts[i].Add(1)
 	h.sumNanos.Add(int64(d))
-	for {
-		cur := h.maxNanos.Load()
-		if int64(d) <= cur || h.maxNanos.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
 }
 
 // Count returns the number of observations.
@@ -93,77 +88,4 @@ func (h *Histogram) Sum() time.Duration {
 		return 0
 	}
 	return time.Duration(h.sumNanos.Load())
-}
-
-// Max returns the largest observation seen, 0 before any Observe.
-func (h *Histogram) Max() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.maxNanos.Load())
-}
-
-// Mean returns the mean observation, 0 before any Observe.
-func (h *Histogram) Mean() time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(uint64(h.Sum()) / n)
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) by linear
-// interpolation inside the bucket the target rank falls into, the same
-// estimate a Prometheus histogram_quantile would produce from the
-// exposition, capped at the tracked maximum. Observations in the +Inf
-// bucket are attributed that maximum, so Quantile(1) == Max. Returns 0
-// before any Observe.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q >= 1 {
-		return h.Max()
-	}
-	// Snapshot the buckets once so concurrent Observes cannot make the
-	// running total disagree with the per-bucket reads.
-	snap := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		snap[i] = h.counts[i].Load()
-		total += snap[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	var cum float64
-	for i, n := range snap {
-		if n == 0 {
-			continue
-		}
-		next := cum + float64(n)
-		if target > next {
-			cum = next
-			continue
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = h.bounds[i-1]
-		}
-		if i == len(h.bounds) {
-			// +Inf bucket: the best point estimate is the tracked max.
-			return h.Max()
-		}
-		upper := h.bounds[i]
-		frac := (target - cum) / float64(n)
-		// Interpolation spreads the bucket's observations up to its
-		// bound, past the largest one actually seen; no quantile
-		// exceeds the maximum.
-		return min(time.Duration((lower+(upper-lower)*frac)*float64(time.Second)), h.Max())
-	}
-	return h.Max()
 }

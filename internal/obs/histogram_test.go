@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -32,46 +31,9 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Count() != 6 {
 		t.Errorf("Count = %d, want 6", h.Count())
 	}
-	if h.Max() != time.Second {
-		t.Errorf("Max = %v, want 1s", h.Max())
-	}
 	wantSum := 500*time.Microsecond + time.Millisecond + 2*time.Millisecond + 50*time.Millisecond + time.Second
 	if h.Sum() != wantSum {
 		t.Errorf("Sum = %v, want %v", h.Sum(), wantSum)
-	}
-}
-
-// TestHistogramQuantile checks the interpolation estimate against a
-// uniform fill where the true quantiles are known.
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{0.010, 0.020, 0.030, 0.040})
-	// 1000 observations uniform in (0, 40ms]: true pXX ≈ XX% of 40ms.
-	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * 40 * time.Microsecond)
-	}
-	for _, tc := range []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.5, 20 * time.Millisecond},
-		{0.9, 36 * time.Millisecond},
-		{0.99, 39600 * time.Microsecond},
-	} {
-		got := h.Quantile(tc.q)
-		if diff := math.Abs(float64(got - tc.want)); diff > float64(time.Millisecond) {
-			t.Errorf("Quantile(%g) = %v, want ≈%v", tc.q, got, tc.want)
-		}
-	}
-	if got := h.Quantile(1); got != h.Max() {
-		t.Errorf("Quantile(1) = %v, want Max %v", got, h.Max())
-	}
-	if got := h.Quantile(-1); got > 10*time.Millisecond {
-		t.Errorf("Quantile(-1) = %v, want within first bucket", got)
-	}
-
-	empty := NewHistogram(nil)
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile != 0")
 	}
 }
 
@@ -104,14 +66,11 @@ func TestHistogramConcurrent(t *testing.T) {
 	if h.Sum() != wantSum {
 		t.Errorf("Sum = %v, want %v", h.Sum(), wantSum)
 	}
-	if h.Max() != time.Duration(goroutines)*time.Microsecond {
-		t.Errorf("Max = %v", h.Max())
-	}
 }
 
 // TestHistogramOverflowBucket checks observations beyond the last
-// finite bound are retained by the implicit +Inf bucket: count, sum and
-// max all account for them, and the exposition's +Inf cumulative count
+// finite bound are retained by the implicit +Inf bucket: count and sum
+// both account for them, and the exposition's +Inf cumulative count
 // equals _count (the invariant promlint enforces).
 func TestHistogramOverflowBucket(t *testing.T) {
 	h := NewHistogram([]float64{0.001, 0.01})
@@ -124,8 +83,8 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	if got := h.counts[len(h.counts)-1].Load(); got != 2 {
 		t.Fatalf("+Inf bucket = %d, want 2", got)
 	}
-	if h.Max() != 24*365*time.Hour {
-		t.Fatalf("Max = %v, want the overflow observation", h.Max())
+	if want := 5*time.Millisecond + time.Hour + 24*365*time.Hour; h.Sum() != want {
+		t.Fatalf("Sum = %v, want %v", h.Sum(), want)
 	}
 
 	reg := NewRegistry()

@@ -12,29 +12,15 @@ import (
 type SVGOptions struct {
 	// Title is drawn across the top.
 	Title string
-	// Width and Height of the image; defaults 720x360.
-	Width, Height int
 	// YLabel annotates the vertical axis.
 	YLabel string
-	// Color is the polyline stroke; default steel blue.
-	Color string
 }
 
-func (o SVGOptions) withDefaults() SVGOptions {
-	if o.Width == 0 {
-		o.Width = 720
-	}
-	if o.Height == 0 {
-		o.Height = 360
-	}
-	if o.Color == "" {
-		o.Color = "#4682b4"
-	}
-	return o
-}
-
-// chart margins.
+// chart size, polyline stroke (steel blue) and margins.
 const (
+	svgWidth     = 720
+	svgHeight    = 360
+	svgColor     = "#4682b4"
 	marginLeft   = 70
 	marginRight  = 20
 	marginTop    = 36
@@ -45,7 +31,6 @@ const (
 // axes and ticks — enough to regenerate the paper's figures as images
 // with no dependencies. The output is deterministic.
 func SVGLine(w io.Writer, points []SeriesPoint, opts SVGOptions) error {
-	opts = opts.withDefaults()
 	if len(points) == 0 {
 		return fmt.Errorf("report: empty series")
 	}
@@ -64,8 +49,8 @@ func SVGLine(w io.Writer, points []SeriesPoint, opts SVGOptions) error {
 		spanX = 1
 	}
 
-	plotW := float64(opts.Width - marginLeft - marginRight)
-	plotH := float64(opts.Height - marginTop - marginBottom)
+	plotW := float64(svgWidth - marginLeft - marginRight)
+	plotH := float64(svgHeight - marginTop - marginBottom)
 	xOf := func(t time.Time) float64 {
 		return float64(marginLeft) + plotW*float64(t.Sub(minX))/spanX
 	}
@@ -75,7 +60,7 @@ func SVGLine(w io.Writer, points []SeriesPoint, opts SVGOptions) error {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		opts.Width, opts.Height, opts.Width, opts.Height)
+		svgWidth, svgHeight, svgWidth, svgHeight)
 	b.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
 	if opts.Title != "" {
 		fmt.Fprintf(&b, `<text x="%d" y="22" font-family="sans-serif" font-size="15" font-weight="bold">%s</text>`+"\n",
@@ -84,16 +69,16 @@ func SVGLine(w io.Writer, points []SeriesPoint, opts SVGOptions) error {
 
 	// Axes.
 	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#444"/>`+"\n",
-		marginLeft, opts.Height-marginBottom, opts.Width-marginRight, opts.Height-marginBottom)
+		marginLeft, svgHeight-marginBottom, svgWidth-marginRight, svgHeight-marginBottom)
 	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#444"/>`+"\n",
-		marginLeft, marginTop, marginLeft, opts.Height-marginBottom)
+		marginLeft, marginTop, marginLeft, svgHeight-marginBottom)
 
 	// Y ticks: 5 evenly spaced.
 	for i := 0; i <= 4; i++ {
 		v := minY + (maxY-minY)*float64(i)/4
 		y := yOf(v)
 		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#ccc" stroke-dasharray="3,3"/>`+"\n",
-			marginLeft, y, opts.Width-marginRight, y)
+			marginLeft, y, svgWidth-marginRight, y)
 		fmt.Fprintf(&b, `<text x="%d" y="%.1f" font-family="sans-serif" font-size="11" text-anchor="end">%s</text>`+"\n",
 			marginLeft-6, y+4, compactNumber(v))
 	}
@@ -102,13 +87,13 @@ func SVGLine(w io.Writer, points []SeriesPoint, opts SVGOptions) error {
 		t := minX.Add(time.Duration(float64(maxX.Sub(minX)) * float64(i) / 5))
 		x := xOf(t)
 		fmt.Fprintf(&b, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="#444"/>`+"\n",
-			x, opts.Height-marginBottom, x, opts.Height-marginBottom+5)
+			x, svgHeight-marginBottom, x, svgHeight-marginBottom+5)
 		fmt.Fprintf(&b, `<text x="%.1f" y="%d" font-family="sans-serif" font-size="11" text-anchor="middle">%s</text>`+"\n",
-			x, opts.Height-marginBottom+18, t.Format("2006-01"))
+			x, svgHeight-marginBottom+18, t.Format("2006-01"))
 	}
 	if opts.YLabel != "" {
 		fmt.Fprintf(&b, `<text x="14" y="%d" font-family="sans-serif" font-size="12" transform="rotate(-90 14 %d)" text-anchor="middle">%s</text>`+"\n",
-			(marginTop+opts.Height-marginBottom)/2, (marginTop+opts.Height-marginBottom)/2, escapeXML(opts.YLabel))
+			(marginTop+svgHeight-marginBottom)/2, (marginTop+svgHeight-marginBottom)/2, escapeXML(opts.YLabel))
 	}
 
 	// The series polyline (downsampled to keep files small).
@@ -121,7 +106,7 @@ func SVGLine(w io.Writer, points []SeriesPoint, opts SVGOptions) error {
 		fmt.Fprintf(&poly, "%.1f,%.1f", xOf(p.Date), yOf(p.Value))
 	}
 	fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="%s" stroke-width="1.8"/>`+"\n",
-		poly.String(), opts.Color)
+		poly.String(), svgColor)
 	b.WriteString("</svg>\n")
 
 	_, err := io.WriteString(w, b.String())

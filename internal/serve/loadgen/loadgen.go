@@ -1,8 +1,9 @@
 // Package loadgen drives a serve.Service (directly or over HTTP) with a
 // configurable number of concurrent clients issuing a Zipf-distributed
 // hostname mix while, optionally, a background goroutine hot-swaps list
-// versions under the traffic. It is the shared harness behind the
-// package's race/stress tests and the BenchmarkServeLookup* benchmarks.
+// versions under the traffic. It is the in-process stress harness behind
+// the serve stress tests and the dist e2e and chaos tests; the
+// BenchmarkServeLookup* benchmarks draw their host pool from Hostnames.
 //
 // Every answer can be verified against a caller-supplied oracle (the
 // library answer for the version the response names), so a run doubles
@@ -21,10 +22,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/psl"
 	"repro/internal/serve"
 )
+
+// zipfS is the Zipf skew of the host mix (rank 1 = most popular).
+const zipfS = 1.3
 
 // LookupFunc answers one host query; implementations wrap
 // serve.Service.Lookup or an HTTP client.
@@ -48,8 +51,6 @@ type Config struct {
 	// Hosts is the candidate pool, queried with Zipf-distributed
 	// popularity (rank 1 = most popular).
 	Hosts []string
-	// ZipfS is the Zipf skew parameter (> 1; default 1.3).
-	ZipfS float64
 	// Lookup answers one query; required.
 	Lookup LookupFunc
 	// Verify, when set, checks every successful answer.
@@ -75,71 +76,8 @@ type Result struct {
 	Swaps int64
 	// FirstMismatch records the first oracle rejection, if any.
 	FirstMismatch error
-	// FirstError records the first lookup error, if any — the detail a
-	// fully-failed run reports instead of a vacuous latency summary.
-	FirstError error
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// Latency is the client-side per-lookup latency distribution,
-	// recorded into the shared obs histogram type (every lookup timed,
-	// successful or not).
-	Latency *obs.Histogram
-}
-
-// LatencySummary is the quantile view of a run's latency histogram.
-type LatencySummary struct {
-	P50Seconds  float64 `json:"p50_seconds"`
-	P90Seconds  float64 `json:"p90_seconds"`
-	P99Seconds  float64 `json:"p99_seconds"`
-	MaxSeconds  float64 `json:"max_seconds"`
-	MeanSeconds float64 `json:"mean_seconds"`
-}
-
-// Summary is the machine-readable digest of a run, shaped for CI and
-// for BENCH_*.json artefacts: counts, throughput and client-side
-// latency percentiles from the shared histogram type.
-type Summary struct {
-	Lookups        int64          `json:"lookups"`
-	Errors         int64          `json:"errors"`
-	Mismatches     int64          `json:"mismatches"`
-	Swaps          int64          `json:"swaps"`
-	ElapsedSeconds float64        `json:"elapsed_seconds"`
-	LookupsPerSec  float64        `json:"lookups_per_sec"`
-	Latency        LatencySummary `json:"latency"`
-}
-
-// Summary condenses the run for machine consumption.
-func (r *Result) Summary() Summary {
-	s := Summary{
-		Lookups:        r.Lookups,
-		Errors:         r.Errors,
-		Mismatches:     r.Mismatches,
-		Swaps:          r.Swaps,
-		ElapsedSeconds: r.Elapsed.Seconds(),
-		Latency: LatencySummary{
-			P50Seconds:  r.Latency.Quantile(0.50).Seconds(),
-			P90Seconds:  r.Latency.Quantile(0.90).Seconds(),
-			P99Seconds:  r.Latency.Quantile(0.99).Seconds(),
-			MaxSeconds:  r.Latency.Max().Seconds(),
-			MeanSeconds: r.Latency.Mean().Seconds(),
-		},
-	}
-	if r.Elapsed > 0 {
-		s.LookupsPerSec = float64(r.Lookups) / r.Elapsed.Seconds()
-	}
-	return s
-}
-
-// WriteJSON writes the run summary as indented JSON — the loadgen
-// command's stdout contract.
-func (r *Result) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r.Summary(), "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
 }
 
 // Run executes the configured load. It returns once every client has
@@ -151,9 +89,6 @@ func Run(cfg Config) Result {
 	if cfg.RequestsPerClient <= 0 {
 		cfg.RequestsPerClient = 500
 	}
-	if cfg.ZipfS <= 1 {
-		cfg.ZipfS = 1.3
-	}
 	if cfg.SwapInterval <= 0 {
 		cfg.SwapInterval = 500 * time.Microsecond
 	}
@@ -161,8 +96,8 @@ func Run(cfg Config) Result {
 		panic("loadgen: Hosts and Lookup are required")
 	}
 
-	res := Result{Latency: obs.NewHistogram(nil)}
-	var mismatchOnce, errOnce sync.Once
+	var res Result
+	var mismatchOnce sync.Once
 	start := time.Now()
 
 	// The swapper signals completion; clients keep the service under
@@ -197,16 +132,13 @@ func Run(cfg Config) Result {
 		go func(c int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*7919))
-			zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(cfg.Hosts)-1))
+			zipf := rand.NewZipf(rng, zipfS, 1, uint64(len(cfg.Hosts)-1))
 			for i := 0; i < cfg.RequestsPerClient || swapping(); i++ {
 				host := cfg.Hosts[zipf.Uint64()]
-				t0 := time.Now()
 				a, err := cfg.Lookup(host)
-				res.Latency.Observe(time.Since(t0))
 				atomic.AddInt64(&res.Lookups, 1)
 				if err != nil {
 					atomic.AddInt64(&res.Errors, 1)
-					errOnce.Do(func() { res.FirstError = err })
 					continue
 				}
 				if cfg.Verify != nil {

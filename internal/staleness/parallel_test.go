@@ -2,20 +2,26 @@ package staleness
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
-// TestCompareParallelEqualsCompare: per-policy rng seeding makes the
-// parallel fan-out bit-identical to the serial loop for any worker
-// count.
-func TestCompareParallelEqualsCompare(t *testing.T) {
+// TestCompareEqualsSerialSimulate: per-policy rng seeding makes
+// Compare's fan-out bit-identical to a serial loop of Simulate calls,
+// result for result, whatever the worker count.
+func TestCompareEqualsSerialSimulate(t *testing.T) {
 	cfg := Config{Seed: 7, HorizonDays: 200, Trials: 10}
 	harm := func(ageDays int) int { return ageDays / 3 }
-	want := Compare(cfg, DefaultPolicies(), harm)
-	for _, workers := range []int{0, 1, 2, 16} {
-		got := CompareParallel(cfg, DefaultPolicies(), harm, workers)
+	var want []Result
+	for _, p := range DefaultPolicies() {
+		want = append(want, Simulate(cfg, p, harm))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 16} {
+		runtime.GOMAXPROCS(procs)
+		got := Compare(cfg, DefaultPolicies(), harm)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: parallel results diverge\n got: %+v\nwant: %+v", workers, got, want)
+			t.Fatalf("GOMAXPROCS=%d: Compare diverges from serial Simulate\n got: %+v\nwant: %+v", procs, got, want)
 		}
 	}
 }

@@ -168,28 +168,14 @@ func DefaultPolicies() []Policy {
 	}
 }
 
-// Compare simulates every policy under one configuration.
+// Compare simulates every policy under one configuration, fanned across
+// min(GOMAXPROCS, len(policies)) goroutines. Each policy seeds its own
+// rng from (Seed, Kind, IntervalDays) only, so results are bit-identical
+// to a serial loop of Simulate calls whatever the scheduling; harm must
+// be safe for concurrent calls (the pipeline's harm curve is an
+// immutable table lookup).
 func Compare(cfg Config, policies []Policy, harm func(ageDays int) int) []Result {
-	out := make([]Result, 0, len(policies))
-	for _, p := range policies {
-		out = append(out, Simulate(cfg, p, harm))
-	}
-	return out
-}
-
-// CompareParallel is Compare fanned across min(workers, len(policies))
-// goroutines. Each policy seeds its own rng from (Seed, Kind,
-// IntervalDays) only, so results are bit-identical to Compare whatever
-// the scheduling; harm must be safe for concurrent calls (the pipeline's
-// harm curve is an immutable table lookup). workers <= 0 selects
-// GOMAXPROCS.
-func CompareParallel(cfg Config, policies []Policy, harm func(ageDays int) int, workers int) []Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(policies) {
-		workers = len(policies)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(policies))
 	out := make([]Result, len(policies))
 	jobs := make(chan int)
 	var wg sync.WaitGroup

@@ -31,7 +31,7 @@ func fullScanRisk(cfg Config, old, next *psl.List, added, removed []psl.Rule) *R
 		} else {
 			r.ScopeNarrowed++
 		}
-		if len(r.SampleFlips) < cfg.MaxSampleFlips {
+		if len(r.SampleFlips) < maxSampleFlips {
 			r.SampleFlips = append(r.SampleFlips, fmt.Sprintf("%s: %s -> %s", h, os, ns))
 		}
 	}
@@ -41,7 +41,7 @@ func fullScanRisk(cfg Config, old, next *psl.List, added, removed []psl.Rule) *R
 	for _, rule := range append(append([]psl.Rule(nil), added...), removed...) {
 		for _, h := range probesFor(rule) {
 			os, ns := old.SiteOrSelf(h), next.SiteOrSelf(h)
-			if os != ns && len(r.SampleFlips) < cfg.MaxSampleFlips {
+			if os != ns && len(r.SampleFlips) < maxSampleFlips {
 				r.SampleFlips = append(r.SampleFlips, fmt.Sprintf("probe %s: %s -> %s", h, os, ns))
 			}
 		}

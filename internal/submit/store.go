@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/faultfs"
@@ -53,7 +54,7 @@ func (p *Pipeline) persistLocked(s *Submission) {
 		// the counter so they can alert on it.
 		p.persistFailures.Add(1)
 		s.Verdicts = append(s.Verdicts, Verdict{
-			Stage: "persist", Passed: false, Detail: err.Error(), At: p.cfg.Now(),
+			Stage: "persist", Passed: false, Detail: err.Error(), At: time.Now(),
 		})
 	}
 }

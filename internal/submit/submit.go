@@ -181,8 +181,6 @@ type Config struct {
 	// registrable domain may flip before the risk stage rejects.
 	// Default 0.05.
 	MaxFlipFraction float64
-	// MaxSampleFlips bounds the examples in a RiskReport. Default 10.
-	MaxSampleFlips int
 	// Manual disables automatic processing on Submit: submissions stay
 	// pending until Process is called. Tests and operators use it to
 	// observe the pending state.
@@ -191,19 +189,14 @@ type Config struct {
 	// the new manifest and the materialised list (pslserver uses it to
 	// swap the lookup service and fetch tier to the new version).
 	OnPublish func(m dist.Manifest, l *psl.List)
-	// Now stamps verdicts and publishes; defaults to time.Now.
-	Now func() time.Time
 }
+
+// maxSampleFlips bounds the examples in a RiskReport.
+const maxSampleFlips = 10
 
 func (c Config) withDefaults() Config {
 	if c.MaxFlipFraction <= 0 {
 		c.MaxFlipFraction = 0.05
-	}
-	if c.MaxSampleFlips <= 0 {
-		c.MaxSampleFlips = 10
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -365,7 +358,7 @@ func (p *Pipeline) Submit(req Request) (*Submission, error) {
 		return nil, errors.New("submit: request has no changes")
 	}
 	id := ComputeID(req)
-	now := p.cfg.Now()
+	now := time.Now()
 
 	p.mu.Lock()
 	s, exists := p.subs[id]
@@ -418,7 +411,7 @@ func (p *Pipeline) Process(id string) (*Submission, error) {
 	s.Verdicts = nil
 	s.RejectedStage = ""
 	s.Risk = nil
-	s.UpdatedAt = p.cfg.Now()
+	s.UpdatedAt = time.Now()
 	req := s.Request
 	p.persistLocked(s)
 	p.mu.Unlock()
@@ -461,7 +454,7 @@ func (p *Pipeline) Process(id string) (*Submission, error) {
 	if _, err := p.finish(id, StateAccepted, ""); err != nil {
 		return nil, err
 	}
-	m, err := p.origin.Publish(p.cfg.Now(), added, removed)
+	m, err := p.origin.Publish(time.Now(), added, removed)
 	if err != nil {
 		p.recordVerdict(id, p.verdict(StagePublish, false, err.Error(), nil))
 		return p.finish(id, StateRejected, StagePublish)
@@ -476,7 +469,7 @@ func (p *Pipeline) Process(id string) (*Submission, error) {
 	s.State = StatePublished
 	s.PublishedSeq = m.Seq
 	s.Fingerprint = m.Fingerprint
-	s.UpdatedAt = p.cfg.Now()
+	s.UpdatedAt = time.Now()
 	p.persistLocked(s)
 	out := s.clone()
 	p.mu.Unlock()
@@ -506,7 +499,7 @@ func (p *Pipeline) verdict(stage string, passed bool, detail string, findings []
 	} else {
 		p.stageFail[i].Add(1)
 	}
-	return Verdict{Stage: stage, Passed: passed, Detail: detail, Findings: findings, At: p.cfg.Now()}
+	return Verdict{Stage: stage, Passed: passed, Detail: detail, Findings: findings, At: time.Now()}
 }
 
 func (p *Pipeline) recordVerdict(id string, v Verdict) {
@@ -521,7 +514,7 @@ func (p *Pipeline) recordVerdict(id string, v Verdict) {
 			}
 		}
 		s.Verdicts = append(s.Verdicts, v)
-		s.UpdatedAt = p.cfg.Now()
+		s.UpdatedAt = time.Now()
 		p.persistLocked(s)
 	}
 }
@@ -544,7 +537,7 @@ func (p *Pipeline) finish(id string, st State, rejectedStage string) (*Submissio
 	}
 	s.State = st
 	s.RejectedStage = rejectedStage
-	s.UpdatedAt = p.cfg.Now()
+	s.UpdatedAt = time.Now()
 	p.persistLocked(s)
 	return s.clone(), nil
 }
@@ -872,7 +865,7 @@ func (p *Pipeline) runRisk(old, next *psl.List, added, removed []psl.Rule) (*Ris
 			} else {
 				r.ScopeNarrowed++
 			}
-			if len(r.SampleFlips) < p.cfg.MaxSampleFlips {
+			if len(r.SampleFlips) < maxSampleFlips {
 				r.SampleFlips = append(r.SampleFlips, fmt.Sprintf("%s: %s -> %s", h, os, ns))
 			}
 		}
@@ -887,7 +880,7 @@ func (p *Pipeline) runRisk(old, next *psl.List, added, removed []psl.Rule) (*Ris
 	for _, rule := range changed {
 		for _, h := range probesFor(rule) {
 			os, ns := old.SiteOrSelf(h), next.SiteOrSelf(h)
-			if os == ns || len(r.SampleFlips) >= p.cfg.MaxSampleFlips {
+			if os == ns || len(r.SampleFlips) >= maxSampleFlips {
 				continue
 			}
 			r.SampleFlips = append(r.SampleFlips, fmt.Sprintf("probe %s: %s -> %s", h, os, ns))

@@ -76,16 +76,14 @@ type Options struct {
 	// that contribute their count to Report.SkippedHits so the bound is
 	// visible, never silent. Default 3.
 	MaxAfter int
-	// Modes selects the fault kinds. Default {"err", "crash"}.
-	Modes []string
 }
+
+// modes are the fault kinds every (site, hit) is tortured with.
+var modes = []string{"err", "crash"}
 
 func (o Options) withDefaults() Options {
 	if o.MaxAfter <= 0 {
 		o.MaxAfter = 3
-	}
-	if len(o.Modes) == 0 {
-		o.Modes = []string{"err", "crash"}
 	}
 	return o
 }
@@ -232,7 +230,7 @@ func Run(s Scenario, opts Options) (*Report, error) {
 			hits = opts.MaxAfter
 		}
 		for k := 0; k < hits; k++ {
-			for _, mode := range opts.Modes {
+			for _, mode := range modes {
 				rep.Cases = append(rep.Cases, runCase(s, sh.Site, mode, k))
 			}
 		}
